@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -61,12 +62,11 @@ class GFKind(Enum):
 
 
 def default_order() -> int:
-    """Working order, overridable through the GFOREST_ORDER environment variable."""
-    return int(os.environ.get("GFOREST_ORDER", DEFAULT_ORDER))
-
-
-def _poly_series(coeffs: dict, order: int) -> TruncSeries:
-    return TruncSeries.from_dict(coeffs, order)
+    """The cap on n for the command line: GFOREST_ORDER, else DEFAULT_ORDER."""
+    text = os.environ.get("GFOREST_ORDER", str(DEFAULT_ORDER))
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"GFOREST_ORDER must be a positive integer, not {text!r}")
+    return int(text)
 
 
 @lru_cache(maxsize=None)
@@ -83,78 +83,89 @@ def build_C(kind: GFKind, order: int) -> TruncSeries:
     yq = Y * Q
     q2 = Q * Q
     if kind is GFKind.PLABIC_TREE:
-        num = _poly_series({1: ONE, 3: -(q2 * Y)}, order)
-        den = _poly_series({0: ONE, 1: Q}, order) * _poly_series({0: ONE, 1: yq}, order)
+        num = {1: ONE, 3: -(q2 * Y)}
+        factors = (Q, yq)
     else:
-        num = _poly_series(
-            {
-                1: ONE,
-                2: -((1 + Y) * q2),
-                3: -(Y * q2 * (1 + Q - q2)),
-                5: -(Y * Y * Q**5 * (1 + Q)),
-            },
-            order,
-        )
-        den = (
-            _poly_series({0: ONE, 1: Q}, order)
-            * _poly_series({0: ONE, 1: yq}, order)
-            * _poly_series({0: ONE, 1: -q2}, order)
-            * _poly_series({0: ONE, 1: -(Y * q2)}, order)
-        )
-    return num / den
+        num = {
+            1: ONE,
+            2: -((1 + Y) * q2),
+            3: -(Y * q2 * (1 + Q - q2)),
+            5: -(Y * Y * Q**5 * (1 + Q)),
+        }
+        factors = (Q, yq, -q2, -(Y * q2))
+    den = TruncSeries.one(order)  # the product of (1 + a x) over the factors a
+    for a in factors:
+        den = den * TruncSeries.from_dict({0: ONE, 1: a}, order)
+    return TruncSeries.from_dict(num, order) / den
 
 
-@lru_cache(maxsize=None)
+# The builders keep their own caches only so that a direct caller does not
+# repeat its last build; series_for keeps the longest series of each kind.
+@lru_cache(maxsize=2)
 def build_tree_gf(kind: GFKind, order: int) -> TruncSeries:
     """Tree generating function x(1 + y + yq C^<-1>) to the given order."""
     if order < 1:
         raise ValueError("order must be >= 1")
     kind = kind.tree_kind
     if order == 1:
-        return _poly_series({1: 1 + Y}, 1)
+        return TruncSeries.from_dict({1: 1 + Y}, 1)
     inverse = build_C(kind, order - 1).reversion()
     return (Y * Q * inverse + (1 + Y)).shift_up(1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def build_forest_gf(kind: GFKind, order: int) -> TruncSeries:
     """Forest generating function, via x G_forest = (x / (1 + G_tree))^<-1>."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    tree = build_tree_gf(kind.tree_kind, order)
+    tree = series_for(kind.tree_kind, order)
     recip = TruncSeries.one(order) / (1 + tree)
     return recip.shift_up(1).reversion().shift_down(1)
 
 
+_longest: dict = {}  # GFKind -> the longest series of that kind built so far
+_longest_lock = threading.Lock()
+
+
 def series_for(kind: GFKind, order: int) -> TruncSeries:
-    return build_tree_gf(kind, order) if kind.is_tree else build_forest_gf(kind, order)
+    """The kind's series to the given order.
+
+    Truncated coefficients are exact, so this is a prefix of the longest
+    series of the kind built so far; a series is built only when a longer
+    order is asked for.  The cache never shrinks, so two threads racing
+    for the same growth cost a second build, never a wrong answer.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    series = _longest.get(kind)
+    if series is None or series.order < order:
+        series = (build_tree_gf if kind.is_tree else build_forest_gf)(kind, order)
+        with _longest_lock:
+            kept = _longest.get(kind)
+            if kept is None or kept.order < order:
+                _longest[kind] = series
+    return series.truncate(order)
 
 
 @lru_cache(maxsize=None)
-def _tree_power(kind: GFKind, order: int, m: int) -> TruncSeries:
-    # (1 + G_tree)^m, built incrementally so successive m share work.
-    if m == 0:
-        return TruncSeries.one(order)
-    base = 1 + build_tree_gf(kind, order)
-    if m == 1:
-        return base
-    return _tree_power(kind, order, m - 1) * base
+def _tree_power(kind: GFKind, n: int) -> BivarPoly:
+    """[x^n] (1 + G_tree)^(n+1), from the n-prefix of the tree series."""
+    return ((1 + series_for(kind, n)) ** (n + 1))[n]
 
 
 def forest_gf_via_lagrange(kind: GFKind, n: int, order: int | None = None) -> dict:
     """[x^n] of the forest series by the binomial-power route.
 
     Uses [x^n] G_forest = (1/(n+1)) [x^n] (1 + G_tree)^(n+1), bypassing the
-    second reversion entirely.  Returns {(k, r): count}.
+    second reversion entirely.  `order`, if given, is a cap that n must not
+    exceed.  Returns {(k, r): count}.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    order = max(n, 1) if order is None else order
-    if order < n:
+    if order is not None and order < n:
         raise ValueError("order too small for the requested coefficient")
-    coeff = _tree_power(kind.tree_kind, order, n + 1)[n]
     counts = {}
-    for (dy, dq), c in coeff.terms():
+    for (dy, dq), c in _tree_power(kind.tree_kind, n).terms():
         v = Fraction(c, n + 1)
         if v.denominator != 1:
             raise IntegralityViolation(
@@ -180,26 +191,27 @@ def extract_counts(series: TruncSeries, n: int) -> dict:
 
 
 def coefficient_poly(kind: GFKind, n: int, k: int, order: int | None = None) -> BivarPoly:
-    """[x^n y^k] as a polynomial in q, validated as a counting coefficient."""
+    """[x^n y^k] as a polynomial in q, validated as a counting coefficient.
+
+    The series is built to n; n may not exceed `order` (default_order()
+    when not given)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     order = default_order() if order is None else order
     if n > order:
         raise ValueError(f"n = {n} exceeds working order {order}")
-    series = series_for(kind, order)
+    series = series_for(kind, n)
     extract_counts(series, n)
     return series[n].y_coefficient(k)
 
 
-def euler_characteristic(kind: GFKind, n: int, k: int, order: int | None = None):
+def euler_characteristic(kind: GFKind, n: int, k: int):
     """[x^n y^k] of the forest series at q = -1 (expected value: 1)."""
     if kind.is_tree:
         raise ValueError("Euler specialisation is defined for the forest series")
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n-2")
-    order = max(n, 1) if order is None else order
-    series = build_forest_gf(kind, order)
-    return series[n].eval_q(-1).coefficient(k, 0)
+    return series_for(kind, n)[n].eval_q(-1).coefficient(k, 0)
 
 
 # -- transcribed algebraic relations ------------------------------------------

@@ -212,14 +212,6 @@ def dissection_piece_sizes(n: int, diagonals: frozenset) -> tuple:
     return tuple(sorted(split(tuple(range(1, n + 1)))))
 
 
-def dissection_type_vector(n: int, diagonals: frozenset) -> tuple:
-    """(m_3, ..., m_n): number of i-gon pieces of a dissection."""
-    r = [0] * max(0, n - 2)
-    for size in dissection_piece_sizes(n, diagonals):
-        r[size - 3] += 1
-    return tuple(r)
-
-
 # -- helicity decorations ----------------------------------------------------------
 
 

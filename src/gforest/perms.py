@@ -175,13 +175,11 @@ def trip_permutation(G) -> DecoratedPermutation:
     )
 
 
-def _component_graph(block, dec, rotations=None):
+def _component_graph(block, dec):
     """Explicit port lists for the walk.
 
     Each internal vertex gets its edges in clockwise order: parent edge
-    first, then children left to right.  `rotations` optionally rotates
-    every port list (the walk only uses relative offsets, so any reference
-    edge must give the same permutation).
+    first, then children left to right.
     """
     labels = iter(block[1:])
     nodes = []  # (helicity, [refs]); ref = ("b", label) or ("v", nid, back_port)
@@ -205,35 +203,7 @@ def _component_graph(block, dec, rotations=None):
 
     root = build(dec, ("b", block[0]))
     boundary[block[0]] = (root, 0)
-
-    if rotations:
-        nodes, boundary = _rotate_ports(nodes, boundary, rotations)
     return nodes, boundary
-
-
-def _rotate_ports(nodes, boundary, rotations):
-    rotated = []
-    shift = {}
-    for nid, (h, ports) in enumerate(nodes):
-        r = rotations(nid) % len(ports) if callable(rotations) else rotations % len(ports)
-        shift[nid] = r
-        rotated.append((h, ports[r:] + ports[:r]))
-    fixed = []
-    for h, ports in rotated:
-        fixed.append(
-            (
-                h,
-                [
-                    ref if ref[0] == "b" else ("v", ref[1], (ref[2] - shift[ref[1]]) % len(nodes[ref[1]][1]))
-                    for ref in ports
-                ],
-            )
-        )
-    new_boundary = {
-        label: (nid, (port - shift[nid]) % len(nodes[nid][1]))
-        for label, (nid, port) in boundary.items()
-    }
-    return fixed, new_boundary
 
 
 def _walk(nodes, nid, port):

@@ -112,9 +112,6 @@ class BivarPoly:
     def q_degree(self) -> int:
         return max((k & _MASK for k in self._t), default=-1)
 
-    def is_integral(self) -> bool:
-        return all(type(c) is int for c in self._t.values())
-
     def __len__(self):
         return len(self._t)
 

@@ -44,6 +44,13 @@ def test_order_env_override(capsys, monkeypatch):
     assert code == EXIT_OK and out.strip() == ROW_4_2
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "7.5"])
+def test_bad_order_env_is_config_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("GFOREST_ORDER", value)
+    code, _, err = run(capsys, "coeff", "--n", "4", "--k", "2")
+    assert code == EXIT_CONFIG and "GFOREST_ORDER" in err
+
+
 def test_table_text_matches_reference(capsys):
     code, out, _ = run(capsys, "table", "--n-min", "4", "--n-max", "12")
     assert code == EXIT_OK
@@ -98,6 +105,13 @@ def test_euler_subcommand(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_euler_respects_order_cap(capsys):
+    code, out, err = run(capsys, "--order", "3", "euler", "--n", "9", "--k", "3")
+    assert code == EXIT_CONFIG and "order" in err and out == ""
+    code, out, err = run(capsys, "euler", "--n", "30", "--k", "3")
+    assert code == EXIT_CONFIG and "order" in err and out == ""
+
+
 def test_relations_subcommand(capsys):
     code, out, _ = run(capsys, "relations", "--kind", "grass-forest", "--order", "8")
     assert code == EXIT_OK and "residual is 0" in out
@@ -118,6 +132,13 @@ def test_perms_subcommands(capsys):
     assert out.splitlines() == ["0 1", "1 3", "2 1", "total 5"]
 
 
+@pytest.mark.parametrize("family", ["separable", "grass-tree", "grass-forest"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_perms_rejects_nonpositive_n(capsys, family, n):
+    code, out, err = run(capsys, "perms", "--family", family, "--n", n)
+    assert code == EXIT_CONFIG and "--n" in err and out == ""
+
+
 def test_perms_budget_is_config_error(capsys):
     code, _, err = run(capsys, "perms", "--family", "separable", "--n", "11")
     assert code == EXIT_CONFIG and "capped" in err
@@ -129,6 +150,17 @@ def test_check_passes_by_default(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "all checks passed"
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_check_skips_oracle_checks_at_oracle_max_n_zero(capsys):
+    code, out, _ = run(capsys, "--order", "6", "check", "--oracle-max-n", "0")
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    skipped = {"oracle-equivalence", "antiexcedance-helicity", "tree-permutation-closure"}
+    for line in lines[:-1]:
+        verdict, name = line.split(":")[0].split()
+        assert verdict == ("SKIP" if name in skipped else "PASS"), line
+    assert lines[-1] == "checks passed, 3 skipped"
 
 
 def test_check_reports_injected_mom_dimension_bug(capsys, monkeypatch):

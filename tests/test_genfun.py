@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gforest import genfun
 from gforest.genfun import (
     GFKind,
     IntegralityViolation,
@@ -235,6 +236,75 @@ def test_coefficient_poly_examples():
     assert coefficient_poly(GFKind.GRASS_FOREST, 5, 0, 6) == ONE
     with pytest.raises(ValueError):
         coefficient_poly(GFKind.GRASS_FOREST, 9, 2, 8)
+
+
+# -- the series cache -------------------------------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty series cache; records each (kind, order) a builder is called for."""
+    monkeypatch.setattr(genfun, "_longest", {})
+    calls = []
+    for builder in (build_tree_gf, build_forest_gf):
+        builder.cache_clear()
+
+        def record(kind, order, builder=builder):
+            calls.append((kind, order))
+            return builder(kind, order)
+
+        monkeypatch.setattr(genfun, builder.__name__, record)
+    return calls
+
+
+def _builder_misses():
+    return build_tree_gf.cache_info().misses + build_forest_gf.cache_info().misses
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_series_cache_serves_prefixes(kind, builds, monkeypatch):
+    series_for(kind, 7)
+    misses, built = _builder_misses(), len(builds)
+    shorter = series_for(kind, 5)
+    assert _builder_misses() == misses and len(builds) == built
+    monkeypatch.setattr(genfun, "_longest", {})
+    build_tree_gf.cache_clear()
+    build_forest_gf.cache_clear()
+    builder = build_tree_gf if kind.is_tree else build_forest_gf
+    assert shorter == builder(kind, 5)
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_series_cache_grows_with_one_build(kind, builds):
+    series_for(kind, 5)
+    builds.clear()
+    grown = series_for(kind, 7)
+    assert grown.order == 7
+    assert builds == [(kind, 7)] + ([(kind.tree_kind, 7)] if kind.is_forest else [])
+    series_for(kind, 7)
+    series_for(kind, 6)
+    assert len(builds) == (2 if kind.is_forest else 1)
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_coefficient_poly_builds_only_to_n(kind, builds):
+    coefficient_poly(kind, 4, 2)
+    assert builds and max(order for _, order in builds) == 4
+
+
+def test_series_cache_never_shrinks(builds, monkeypatch):
+    # A longer series stored while a shorter build was running stays stored.
+    kind = GFKind.GRASS_TREE
+    build = genfun.build_tree_gf
+
+    def interleaved(kind, order):
+        if order == 5:
+            series_for(kind, 7)
+        return build(kind, order)
+
+    monkeypatch.setattr(genfun, "build_tree_gf", interleaved)
+    assert series_for(kind, 5).order == 5
+    assert genfun._longest[kind].order == 7
 
 
 # -- oracle equivalence (the central property) ----------------------------------------
