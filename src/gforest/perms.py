@@ -168,8 +168,9 @@ def trip_permutation(G) -> DecoratedPermutation:
             images[b] = a
         else:
             nodes, boundary = _component_graph(block, dec)
+            limit = 4 * sum(len(p) for _, p in nodes)
             for label, (nid, port) in boundary.items():
-                images[label] = _walk(nodes, nid, port)
+                images[label] = _walk(nodes, nid, port, limit)
     return DecoratedPermutation(
         tuple(images[i] for i in range(1, n + 1)), tuple(decorations)
     )
@@ -206,7 +207,9 @@ def _component_graph(block, dec):
     return nodes, boundary
 
 
-def _walk(nodes, nid, port):
+def _walk(nodes, nid, port, limit):
+    """The boundary label the trip from (nid, port) reaches; more than
+    `limit` steps means the component is malformed."""
     steps = 0
     while True:
         h, ports = nodes[nid]
@@ -215,7 +218,7 @@ def _walk(nodes, nid, port):
             return ref[1]
         _, nid, port = ref
         steps += 1
-        if steps > 4 * sum(len(p) for _, p in nodes):
+        if steps > limit:
             raise RuntimeError("trip failed to terminate; malformed component")
 
 

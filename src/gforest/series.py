@@ -4,11 +4,11 @@ A series of order N knows its coefficients for x^0 .. x^N and claims
 nothing beyond.  Combining series of different orders truncates to the
 smaller order; comparing series of different orders is an error.
 
-Compositional inversion uses Newton iteration with doubling precision:
-    g <- g - (f(g) - x) / f'(g)
-Lagrange inversion (`lagrange_coefficient`) is kept as an independent
-route to individual coefficients of powers of the inverse, so the two
-can cross-validate each other.
+Compositional inversion solves [x^m] f(g) = 0 order by order, keeping
+the coefficients of the powers of g found so far; it needs only products
+and sums of coefficients.  Composition (`compose`, Horner's rule) and
+Lagrange inversion (`lagrange_coefficient`, which never builds the
+inverse) share no code with it, so either can cross-validate it.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ class TruncSeries:
         if order == self.order:
             return self
         return TruncSeries(self._c[: order + 1], order)
-
-    def _extend(self, order: int) -> "TruncSeries":
-        # Pads with zeros *claiming* precision; only for Newton internals,
-        # where the next correction step overwrites the padded range.
-        if order <= self.order:
-            return self.truncate(order)
-        return TruncSeries(list(self._c), order)
 
     def shift_up(self, k: int = 1) -> "TruncSeries":
         """Multiply by x^k; the result is legitimately known to order+k."""
@@ -240,48 +233,39 @@ class TruncSeries:
             result = result * inner + self._c[i]
         return result
 
-    def derivative(self) -> "TruncSeries":
-        if self.order == 0:
-            return TruncSeries.zero(0)
-        return TruncSeries(
-            [self._c[i] * i for i in range(1, self.order + 1)], self.order - 1
-        )
-
     def reversion(self) -> "TruncSeries":
         """Compositional inverse g with self(g) = g(self) = x up to the order.
 
-        Requires a zero constant term and an x^1 coefficient whose constant
-        rational part is invertible (series with a non-unit x^1 coefficient
-        are rejected rather than handled).
+        Requires a zero constant term and a nonzero rational constant u as
+        the x^1 coefficient.  Then g_1 = 1/u and, for m >= 2,
+            g_m = -(1/u) sum_{j=2..m} f_j [x^m] g^j,
+        where [x^m] g^j = sum_{i>=1} g_i [x^(m-i)] g^(j-1) needs only
+        g_1 .. g_(m-1).
         """
-        if self._c[0]:
+        f, n = self._c, self.order
+        if f[0]:
             raise NotInvertible("series with nonzero constant term has no inverse")
-        if self.order < 1:
+        if n < 1:
             raise NotInvertible("order 0 series cannot be inverted")
-        u = self._c[1].constant_coefficient()
-        if not u:
-            raise NotInvertible("x^1 coefficient has zero constant rational part")
-        n = self.order
-        g = TruncSeries([ZERO, as_poly(Fraction(1, 1) / u)], 1)
-        p = 1
-        fprime = self.derivative()
-        while p < n:
-            m = min(2 * p + 1, n)
-            g = g._extend(m)
-            err = self.truncate(m).compose(g) - TruncSeries.x(m)
-            val = err.valuation()
-            if val is None:
-                p = m
-                continue
-            if val <= p:
-                raise NotInvertible(
-                    "x^1 coefficient is not invertible in the polynomial ring"
-                )
-            num = err.shift_down(val)
-            den = fprime.truncate(m - val).compose(g.truncate(m - val))
-            g = g - (num / den).shift_up(val)
-            p = m
-        return g
+        if not (f[1] and f[1].is_constant()):
+            raise NotInvertible("x^1 coefficient is not a nonzero rational constant")
+        g1 = as_poly(Fraction(1, 1) / f[1].constant_coefficient())
+        g = [ZERO, g1] + [ZERO] * (n - 1)
+        powers = [None, g]  # powers[j][m] = [x^m] g^j, filled for m below the next g_m
+        for m in range(2, n + 1):
+            powers.append([ZERO] * (n + 1))
+            acc = ZERO
+            for j in range(2, m + 1):
+                lower = powers[j - 1]
+                c = ZERO
+                for i in range(1, m - j + 2):
+                    if g[i] and lower[m - i]:
+                        c = c + g[i] * lower[m - i]
+                powers[j][m] = c
+                if f[j] and c:
+                    acc = acc + f[j] * c
+            g[m] = acc * -g1
+        return TruncSeries(g, n)
 
     # -- coefficient-wise helpers --------------------------------------------
 

@@ -118,8 +118,7 @@ def forest_transform(f, h1=0, order: int | None = None) -> TruncSeries:
     """
     h_tree = tree_transform(f, order)
     block = 1 + TruncSeries.from_dict({1: as_poly(h1)}, h_tree.order) + h_tree
-    recip = TruncSeries.one(block.order) / block
-    return recip.shift_up(1).reversion().shift_down(1)
+    return speicher_transform(block)
 
 
 def tree_type_count(n: int, r) -> int:

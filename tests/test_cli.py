@@ -35,6 +35,11 @@ def test_coeff_rejects_out_of_range(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_coeff_rejects_nonpositive_n(capsys):
+    code, out, err = run(capsys, "coeff", "--n", "0", "--k", "0")
+    assert code == EXIT_CONFIG and "--n >= 1" in err and out == ""
+
+
 def test_order_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GFOREST_ORDER", "3")
     code, _, err = run(capsys, "coeff", "--n", "4", "--k", "2")
@@ -119,6 +124,13 @@ def test_relations_subcommand(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_relations_respects_order_cap(capsys):
+    code, out, err = run(capsys, "--order", "6", "relations", "--order", "12")
+    assert code == EXIT_CONFIG and "order" in err and out == ""
+    code, out, _ = run(capsys, "--order", "6", "relations", "--order", "6")
+    assert code == EXIT_OK and "residual is 0" in out
+
+
 def test_perms_subcommands(capsys):
     code, out, _ = run(capsys, "perms", "--family", "separable", "--n", "4")
     assert code == EXIT_OK
@@ -161,6 +173,32 @@ def test_check_skips_oracle_checks_at_oracle_max_n_zero(capsys):
         verdict, name = line.split(":")[0].split()
         assert verdict == ("SKIP" if name in skipped else "PASS"), line
     assert lines[-1] == "checks passed, 3 skipped"
+
+
+RELATIONS = {f"relation-{kind.value}" for kind in genfun.GFKind}
+
+
+@pytest.mark.parametrize(
+    "order, skipped",
+    [("5", RELATIONS), ("3", RELATIONS | {"reference-table", "euler-characteristic"})],
+)
+def test_check_skips_checks_the_order_leaves_empty(capsys, order, skipped):
+    code, out, _ = run(capsys, "--order", order, "check", "--oracle-max-n", "3")
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    for line in lines[:-1]:
+        verdict, name = line.split(":")[0].split()
+        assert verdict == ("SKIP" if name in skipped else "PASS"), line
+    assert lines[-1] == f"checks passed, {len(skipped)} skipped"
+
+
+def test_library_value_error_is_not_a_config_error(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(genfun, "coefficient_poly", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["coeff", "--n", "4", "--k", "2"])
 
 
 def test_check_reports_injected_mom_dimension_bug(capsys, monkeypatch):

@@ -75,6 +75,14 @@ def test_trip_permutation_decorates_leaves():
     assert w.decoration(1) == "black" and w.decoration(2) == "white"
 
 
+def test_trip_walk_stops_on_a_malformed_component():
+    from gforest.perms import _walk
+
+    looping = [(1, [("v", 0, 0)])]  # the only port leads back to itself
+    with pytest.raises(RuntimeError, match="terminate"):
+        _walk(looping, 0, 0, limit=4)
+
+
 def test_antiexcedance_examples():
     assert antiexcedances(DecoratedPermutation((2, 3, 1))) == 1
     assert antiexcedances(DecoratedPermutation((3, 1, 2))) == 2
