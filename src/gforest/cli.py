@@ -177,7 +177,8 @@ def run_checks(oracle_max_n: int, order: int, budget: int):
             break
     yield "lagrange-dual-path", ok, first
 
-    # The checks below that run up to oracle_max_n compare nothing under 1.
+    # The checks below run up to oracle_max_n, within the order cap.
+    oracle_max_n = min(oracle_max_n, order)
     unchecked = (None, "nothing to compare for --oracle-max-n < 1")
     ok, first = (True, "") if oracle_max_n >= 1 else unchecked
     for kind in GFKind:
@@ -237,6 +238,10 @@ def run_checks(oracle_max_n: int, order: int, budget: int):
 
 
 def cmd_check(args) -> int:
+    if args.oracle_max_n < 0:
+        raise ConfigError("need --oracle-max-n >= 0")
+    if args.budget < 1:
+        raise ConfigError("need --budget >= 1")
     status = EXIT_OK
     lines = []
     skipped = 0

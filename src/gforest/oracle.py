@@ -1,8 +1,10 @@
-"""Exhaustive enumeration of the combinatorial families, for ground truth.
+"""Enumeration and counting of the combinatorial families, for ground truth.
 
 Everything here works from the definitions, independently of the series
 machinery, so the two can cross-check each other coefficient by
-coefficient.
+coefficient.  `count_by_statistics` counts without building objects: trees
+are summed by leaf count over the subtrees at each vertex, and forests over
+every noncrossing partition, grouped by the multiset of block sizes.
 
 Encodings (plain nested tuples, hashable and canonical):
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 
 from .genfun import GFKind
 
@@ -416,36 +419,53 @@ def contract_fully(G):
 # -- statistics -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _node_hist(shape, parent_color, plabic, contracted) -> tuple:
-    """Histogram {(sum h-1, sum m-1): count} over decorations of a subtree."""
-    deg = len(shape) + 1
-    hist = {}
-    for h in range(1, deg):
-        if plabic and h not in (1, deg - 1):
-            continue
-        color = vertex_color(h, deg)
-        if contracted and color is not None and color == parent_color:
-            continue
-        base = (h - 1, vertex_mom_dimension(h, deg) - 1)
-        partial = {base: 1}
-        for child in shape:
-            if child is None:
-                continue
-            child_hist = dict(_node_hist(child, color, plabic, contracted))
-            partial = _convolve(partial, child_hist)
-        for key, c in partial.items():
-            hist[key] = hist.get(key, 0) + c
-    return tuple(sorted(hist.items()))
-
-
-def _convolve(a: dict, b: dict) -> dict:
+def _convolve(a, b) -> dict:
+    """Product of two histograms given as (key, count) pairs."""
     out = {}
-    for (k1, r1), c1 in a.items():
-        for (k2, r2), c2 in b.items():
+    for (k1, r1), c1 in a:
+        for (k2, r2), c2 in b:
             key = (k1 + k2, r1 + r2)
             out[key] = out.get(key, 0) + c1 * c2
     return out
+
+
+@lru_cache(maxsize=None)
+def _subtree_hist(leaves: int, parent_color, plabic: bool, contracted: bool) -> tuple:
+    """Histogram {(sum h-1, sum m-1): count} over decorated subtrees on `leaves`
+    leaves whose root hangs below a vertex of colour `parent_color`."""
+    if leaves == 1:
+        return (((0, 0), 1),)
+    hist = {}
+    for d in range(2, leaves + 1):
+        deg = d + 1
+        for h in range(1, deg):
+            if plabic and h not in (1, deg - 1):
+                continue
+            color = vertex_color(h, deg)
+            if contracted and color is not None and color == parent_color:
+                continue
+            dh, dm = h - 1, vertex_mom_dimension(h, deg) - 1
+            for (k, r), c in _children_hist(d, leaves, color, plabic, contracted):
+                key = (k + dh, r + dm)
+                hist[key] = hist.get(key, 0) + c
+    return tuple(sorted(hist.items()))
+
+
+@lru_cache(maxsize=None)
+def _children_hist(
+    count: int, leaves: int, parent_color, plabic: bool, contracted: bool
+) -> tuple:
+    """Histogram over ordered sequences of `count` subtrees on `leaves` leaves in
+    all, below a vertex of colour `parent_color`; split off the first child."""
+    if count == 1:
+        return _subtree_hist(leaves, parent_color, plabic, contracted)
+    hist = {}
+    for first in range(1, leaves - count + 2):
+        rest = _children_hist(count - 1, leaves - first, parent_color, plabic, contracted)
+        head = _subtree_hist(first, parent_color, plabic, contracted)
+        for key, c in _convolve(head, rest).items():
+            hist[key] = hist.get(key, 0) + c
+    return tuple(sorted(hist.items()))
 
 
 @lru_cache(maxsize=None)
@@ -455,12 +475,10 @@ def _block_hist(size: int, plabic: bool, contracted: bool) -> tuple:
         return (((0, 0), 1), ((1, 0), 1))
     if size == 2:
         return (((1, 1), 1),)
-    hist = {}
-    for shape in schroeder_trees(size - 1):
-        for (dh, dm), c in _node_hist(shape, None, plabic, contracted):
-            key = (1 + dh, 1 + dm)
-            hist[key] = hist.get(key, 0) + c
-    return tuple(sorted(hist.items()))
+    return tuple(
+        ((1 + dh, 1 + dm), c)
+        for (dh, dm), c in _subtree_hist(size - 1, None, plabic, contracted)
+    )
 
 
 def count_by_statistics(
@@ -471,32 +489,42 @@ def count_by_statistics(
 ) -> dict:
     """Exact histogram {(helicity k, dimension r): count} for the family.
 
-    Forest kinds sum over noncrossing partitions, convolving the per-block tree
-    histograms (statistics are additive over components).  The enumeration is
-    exhaustive at tree level; `budget` caps the number of decorated objects
-    accounted for.  Per-partition contributions merge by addition, so the
-    outer loop could be partitioned across workers without changing results.
+    Trees are summed by leaf count: a decorated tree is a root vertex over an
+    ordered sequence of subtrees, and its statistics add over them.  Forest
+    kinds visit every noncrossing partition, whose histogram is the product of
+    its block histograms (statistics are additive over components), so the
+    partitions are grouped by their multiset of block sizes and each type is
+    convolved once.  `budget` caps the number of decorated objects accounted
+    for, partition by partition.
     """
     if n < 1:
         raise ValueError("n must be positive")
     plabic = kind.is_plabic
-    seen = 0
     if kind.is_tree:
         hist = dict(_block_hist(n, plabic, contracted_only))
         seen = sum(hist.values())
         if seen > budget:
             raise BudgetExceeded(f"{seen} decorated trees exceed budget {budget}")
         return hist
-    total = {}
+    block_total = {
+        size: sum(c for _, c in _block_hist(size, plabic, contracted_only))
+        for size in range(1, n + 1)
+    }
+    types = {}
+    seen = 0
     for partition in enumerate_nc_partitions(n):
-        hist = {(0, 0): 1}
-        for block in partition:
-            hist = _convolve(hist, dict(_block_hist(len(block), plabic, contracted_only)))
-        seen += sum(hist.values())
+        sizes = tuple(sorted(len(block) for block in partition))
+        types[sizes] = types.get(sizes, 0) + 1
+        seen += prod(block_total[size] for size in sizes)
         if seen > budget:
             raise BudgetExceeded(f"enumeration ceiling {budget} hit at n = {n}")
+    total = {}
+    for sizes, multiplicity in types.items():
+        hist = {(0, 0): 1}
+        for size in sizes:
+            hist = _convolve(hist.items(), _block_hist(size, plabic, contracted_only))
         for key, c in hist.items():
-            total[key] = total.get(key, 0) + c
+            total[key] = total.get(key, 0) + c * multiplicity
     return total
 
 

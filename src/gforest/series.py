@@ -283,19 +283,19 @@ def lagrange_coefficient(c_series: TruncSeries, n: int, k: int) -> BivarPoly:
     """[x^n] of the k-th power of the compositional inverse of c_series.
 
     Computed as (k/n) [x^(n-k)] (x / c_series)^n, never constructing the
-    inverse itself.
+    inverse itself.  Like `reversion`, needs a zero constant term and a
+    nonzero rational constant as the x^1 coefficient.
     """
     if not (n >= k >= 1):
         raise ValueError("need n >= k >= 1")
-    if c_series._c[0]:
-        raise NotInvertible("series with nonzero constant term has no inverse")
-    if not c_series._c[1].constant_coefficient():
-        raise NotInvertible("x^1 coefficient has zero constant rational part")
     if c_series.order < n - k + 1:
         raise ValueError("series order too small for the requested coefficient")
-    base = c_series.shift_down(1).truncate(n - k) if n > k else TruncSeries(
-        [c_series._c[1]], 0
-    )
+    if c_series._c[0]:
+        raise NotInvertible("series with nonzero constant term has no inverse")
+    f1 = c_series._c[1]
+    if not (f1 and f1.is_constant()):
+        raise NotInvertible("x^1 coefficient is not a nonzero rational constant")
+    base = c_series.shift_down(1).truncate(n - k) if n > k else TruncSeries([f1], 0)
     recip = TruncSeries.one(base.order) / base
     coeff = (recip**n)[n - k]
     return coeff.scale(Fraction(k, n))

@@ -3,7 +3,7 @@
 Everything is exact arithmetic, so every comparison is equality with zero
 tolerance.  Run with `pytest tests/test_acceptance.py -v -s` to see the
 per-criterion lines as they complete.  Set GFOREST_EXTENDED=1 to include
-the opt-in n = 9 oracle sweep in criterion 2.
+the opt-in n = 11 oracle sweep in criterion 2.
 """
 
 import math
@@ -64,7 +64,7 @@ def test_criterion_1_reference_table_reproduction():
 
 
 def test_criterion_2_oracle_equivalence():
-    n_max = 9 if EXTENDED else 8
+    n_max = 11 if EXTENDED else 10
     for kind in GFKind:
         for n in range(1, n_max + 1):
             series = series_for(kind, n)

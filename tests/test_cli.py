@@ -175,6 +175,38 @@ def test_check_skips_oracle_checks_at_oracle_max_n_zero(capsys):
     assert lines[-1] == "checks passed, 3 skipped"
 
 
+def test_check_compares_the_oracle_only_within_the_order_cap(capsys, monkeypatch):
+    asked = []
+    original = oracle.count_by_statistics
+
+    def counting(n, kind, **kw):
+        asked.append(n)
+        return original(n, kind, **kw)
+
+    monkeypatch.setattr(oracle, "count_by_statistics", counting)
+    code, out, _ = run(capsys, "--order", "3", "check", "--oracle-max-n", "6")
+    assert code == EXIT_OK and "PASS oracle-equivalence" in out
+    assert max(asked) == 3
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--oracle-max-n", "-1"), ("--budget", "0"), ("--budget", "-5")]
+)
+def test_check_rejects_bad_arguments_before_computing(capsys, monkeypatch, flag, value):
+    def never(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(genfun, "series_for", never)
+    code, out, err = run(capsys, "check", flag, value)
+    assert code == EXIT_CONFIG and flag in err and out == ""
+
+
+def test_check_over_the_oracle_budget_is_config_error(capsys):
+    code, out, err = run(capsys, "check", "--oracle-max-n", "14")
+    assert code == EXIT_CONFIG and out == ""
+    assert "enumeration ceiling 100000000 hit at n = 12" in err
+
+
 RELATIONS = {f"relation-{kind.value}" for kind in genfun.GFKind}
 
 
@@ -204,8 +236,9 @@ def test_library_value_error_is_not_a_config_error(capsys, monkeypatch):
 def test_check_reports_injected_mom_dimension_bug(capsys, monkeypatch):
     # An off-by-one in the per-vertex dimension must surface at n = 3.
     original = oracle.vertex_mom_dimension
-    oracle._node_hist.cache_clear()
-    oracle._block_hist.cache_clear()
+    caches = (oracle._subtree_hist, oracle._children_hist, oracle._block_hist)
+    for cache in caches:
+        cache.cache_clear()
     monkeypatch.setattr(
         oracle, "vertex_mom_dimension", lambda h, deg: original(h, deg) + 1
     )
@@ -213,8 +246,8 @@ def test_check_reports_injected_mom_dimension_bug(capsys, monkeypatch):
         results = {name: (ok, detail) for name, ok, detail in run_checks(4, 6, 10**8)}
     finally:
         monkeypatch.undo()
-        oracle._node_hist.cache_clear()
-        oracle._block_hist.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     ok, detail = results["oracle-equivalence"]
     assert not ok
     assert "(n,k,r)=(3," in detail

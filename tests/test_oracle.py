@@ -251,7 +251,7 @@ def test_count_by_statistics_examples():
 
 
 @pytest.mark.parametrize("kind", list(GFKind))
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_histograms_match_object_level_enumeration(n, kind):
     hist = Counter()
     source = enumerate_trees(n) if kind.is_tree else enumerate_forests(n)
@@ -264,6 +264,11 @@ def test_histograms_match_object_level_enumeration(n, kind):
 def test_budget_ceiling_raises():
     with pytest.raises(BudgetExceeded):
         count_by_statistics(6, GFKind.GRASS_FOREST, budget=10)
+
+
+def test_budget_ceiling_stops_a_large_tree_count():
+    with pytest.raises(BudgetExceeded, match="exceed budget 100000000"):
+        count_by_statistics(14, GFKind.GRASS_TREE)
 
 
 def test_contracted_plabic_forests_are_bipartite():

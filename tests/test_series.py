@@ -140,6 +140,10 @@ def test_lagrange_argument_validation():
         lagrange_coefficient(x, 2, 3)
     with pytest.raises(NotInvertible):
         lagrange_coefficient(S([1, 1, 0], 2), 2, 1)
+    with pytest.raises(NotInvertible):
+        lagrange_coefficient(S([0, 1 + Y, 1, 0]), 3, 1)  # as for `reversion`
+    with pytest.raises(NotInvertible):
+        lagrange_coefficient(S([0, Y, 1, 0]), 3, 1)
 
 
 small_polys = st.dictionaries(
