@@ -8,6 +8,7 @@ good, 1 mathematical mismatch, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -121,6 +122,8 @@ def cmd_relations(args) -> int:
 def cmd_perms(args) -> int:
     if args.n < 1:
         raise ConfigError("need --n >= 1")
+    if args.budget_n < 1:
+        raise ConfigError("need --budget-n >= 1")
     by_descents = args.by == "descents"
     if args.family == "separable":
         hist = perms.enumerate_separable(args.n, by_descents, budget=args.budget_n)
@@ -243,26 +246,30 @@ def cmd_check(args) -> int:
     if args.budget < 1:
         raise ConfigError("need --budget >= 1")
     status = EXIT_OK
-    lines = []
     skipped = 0
-    for name, ok, detail in run_checks(args.oracle_max_n, args.order, args.budget):
-        verdict = "SKIP" if ok is None else "PASS" if ok else "FAIL"
-        lines.append(f"{verdict} {name}" + (f": {detail}" if detail else ""))
-        skipped += ok is None
-        if ok is False:
-            status = EXIT_MISMATCH
-    passed = f"checks passed, {skipped} skipped" if skipped else "all checks passed"
-    lines.append(passed if status == EXIT_OK else "CHECK FAILED")
-    _write(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as fh:  # each verdict is written as soon as it is decided
+        for name, ok, detail in run_checks(args.oracle_max_n, args.order, args.budget):
+            verdict = "SKIP" if ok is None else "PASS" if ok else "FAIL"
+            fh.write(f"{verdict} {name}" + (f": {detail}" if detail else "") + "\n")
+            fh.flush()
+            skipped += ok is None
+            if ok is False:
+                status = EXIT_MISMATCH
+        passed = f"checks passed, {skipped} skipped" if skipped else "all checks passed"
+        fh.write((passed if status == EXIT_OK else "CHECK FAILED") + "\n")
     return status
 
 
-def _write(path, text: str):
+def _output(path):
+    """The file at `path` opened for writing, or stdout (left open) when no path."""
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(path, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _write(path, text: str):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

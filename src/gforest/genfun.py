@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .ring import ONE, BivarPoly, Q, Y, as_poly
+from .ring import ONE, BivarPoly, Q, Y, dot
 from .series import TruncSeries
 
 DEFAULT_ORDER = 14
@@ -229,18 +229,24 @@ def relation_table(kind: GFKind) -> dict:
 
 
 def relation_residual(kind: GFKind, series: TruncSeries) -> TruncSeries:
-    """Substitute a series into the kind's transcribed polynomial relation."""
+    """Substitute a series into the kind's transcribed polynomial relation.
+
+    With the terms grouped by power j and x-shift dx, [x^m] of the residual
+    is one `dot` over (coefficient, [x^(m-dx)] series^j)."""
     table = relation_table(kind)
     order = series.order
     powers = [TruncSeries.one(order)]
     for _ in range(table["degree"]):
         powers.append(powers[-1] * series)
-    residual = TruncSeries.zero(order)
+    grouped = {}  # (j, dx) -> {(dy, dq): coefficient}
     for j, dx, dy, dq, num, den in table["terms"]:
-        coeff = as_poly(Fraction(num, den)).scale(1) * BivarPoly.monomial(dy=dy, dq=dq)
-        term = (powers[j] * coeff).shift_up(dx).truncate(order)
-        residual = residual + term
-    return residual
+        terms = grouped.setdefault((j, dx), {})
+        terms[dy, dq] = terms.get((dy, dq), 0) + Fraction(num, den)
+    coeffs = [(j, dx, BivarPoly(terms)) for (j, dx), terms in grouped.items()]
+    return TruncSeries(
+        [dot((c, powers[j][m - dx]) for j, dx, c in coeffs if dx <= m) for m in range(order + 1)],
+        order,
+    )
 
 
 def verify_algebraic_relation(kind: GFKind, order: int = 12):

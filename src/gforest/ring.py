@@ -9,6 +9,8 @@ A polynomial is stored as a dict from packed exponents to nonzero
 coefficients.  The packing ``(dy << _SHIFT) | dq`` turns exponent addition
 during multiplication into a single integer add.  Exponents up to
 ``2**_SHIFT - 1`` are supported, far beyond anything produced here.
+A sum of products, the ring's one hot path, is `dot`: every term product
+goes into a single dict, cleaned once at the end; `*` is `dot` of one pair.
 
 Values are immutable after construction; all operations return new
 polynomials and are safe to use concurrently.
@@ -170,14 +172,7 @@ class BivarPoly:
             if ka == 0 and ca == 1:
                 return BivarPoly._raw(dict(b))
             return BivarPoly._raw(_clean({k + ka: c * ca for k, c in b.items()}))
-        out = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                v = get(k)
-                out[k] = ca * cb if v is None else v + ca * cb
-        return BivarPoly._raw(_clean(out))
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -324,6 +319,22 @@ ZERO = _ZERO
 ONE = BivarPoly._raw({0: 1})
 Y = BivarPoly.monomial(dy=1)
 Q = BivarPoly.monomial(dq=1)
+
+
+def dot(pairs) -> BivarPoly:
+    """The sum of a * b over the (a, b) pairs, accumulated in one dict and cleaned once."""
+    out = {}
+    get = out.get
+    for a, b in pairs:
+        a, b = a._t, b._t
+        if len(a) > len(b):
+            a, b = b, a
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                v = get(k)
+                out[k] = ca * cb if v is None else v + ca * cb
+    return BivarPoly._raw(_clean(out))
 
 
 def as_poly(value) -> BivarPoly:

@@ -9,13 +9,16 @@ the coefficients of the powers of g found so far; it needs only products
 and sums of coefficients.  Composition (`compose`, Horner's rule) and
 Lagrange inversion (`lagrange_coefficient`, which never builds the
 inverse) share no code with it, so either can cross-validate it.
+
+A coefficient that is a sum of products, in a product, a division or an
+inversion, is one `ring.dot` call, so no partial sum is ever built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import ONE, ZERO, BivarPoly, as_poly
+from .ring import ONE, ZERO, BivarPoly, as_poly, dot
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -163,16 +166,7 @@ class TruncSeries:
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self._c, other._c
-        out = [ZERO] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return TruncSeries(out, n)
+        return TruncSeries([dot(zip(a[: m + 1], b[m::-1])) for m in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -202,22 +196,9 @@ class TruncSeries:
                 "divisor has zero constant rational coefficient at x^0"
             )
         a, b = self._c, other._c
-        scalar = b0.is_constant()
-        inv0 = Fraction(1, 1) / b0.constant_coefficient() if scalar else None
-        one_divisor = b0.is_one()
         out = []
         for i in range(n + 1):
-            acc = a[i]
-            for j in range(1, i + 1):
-                bj = b[j]
-                if bj and out[i - j]:
-                    acc = acc - bj * out[i - j]
-            if one_divisor:
-                out.append(acc)
-            elif scalar:
-                out.append(acc * inv0)
-            else:
-                out.append(acc.divide_exact(b0))
+            out.append((a[i] - dot(zip(b[1 : i + 1], out[::-1]))).divide_exact(b0))
         return TruncSeries(out, n)
 
     # -- composition and inversion ------------------------------------------
@@ -254,17 +235,9 @@ class TruncSeries:
         powers = [None, g]  # powers[j][m] = [x^m] g^j, filled for m below the next g_m
         for m in range(2, n + 1):
             powers.append([ZERO] * (n + 1))
-            acc = ZERO
             for j in range(2, m + 1):
-                lower = powers[j - 1]
-                c = ZERO
-                for i in range(1, m - j + 2):
-                    if g[i] and lower[m - i]:
-                        c = c + g[i] * lower[m - i]
-                powers[j][m] = c
-                if f[j] and c:
-                    acc = acc + f[j] * c
-            g[m] = acc * -g1
+                powers[j][m] = dot(zip(g[1 : m - j + 2], powers[j - 1][m - 1 : j - 2 : -1]))
+            g[m] = dot(zip(f[2 : m + 1], (row[m] for row in powers[2:]))) * -g1
         return TruncSeries(g, n)
 
     # -- coefficient-wise helpers --------------------------------------------

@@ -156,6 +156,16 @@ def test_perms_budget_is_config_error(capsys):
     assert code == EXIT_CONFIG and "capped" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_perms_rejects_nonpositive_budget(capsys, monkeypatch, budget):
+    def never(*args, **kwargs):
+        raise AssertionError("permutations were enumerated")
+
+    monkeypatch.setattr(cli.perms, "enumerate_separable", never)
+    code, out, err = run(capsys, "perms", "--family", "separable", "--n", "4", "--budget-n", budget)
+    assert code == EXIT_CONFIG and "need --budget-n >= 1" in err and out == ""
+
+
 def test_check_passes_by_default(capsys):
     code, out, _ = run(capsys, "--order", "8", "check", "--oracle-max-n", "5")
     assert code == EXIT_OK
@@ -203,8 +213,18 @@ def test_check_rejects_bad_arguments_before_computing(capsys, monkeypatch, flag,
 
 def test_check_over_the_oracle_budget_is_config_error(capsys):
     code, out, err = run(capsys, "check", "--oracle-max-n", "14")
-    assert code == EXIT_CONFIG and out == ""
+    assert code == EXIT_CONFIG
     assert "enumeration ceiling 100000000 hit at n = 12" in err
+    # The verdicts decided before the oracle gave up are kept; no summary line.
+    assert out.splitlines() == ["PASS reference-table", "PASS lagrange-dual-path"]
+
+
+def test_check_writes_the_same_lines_to_a_file(capsys, tmp_path):
+    path = tmp_path / "check.txt"
+    code, out, _ = run(capsys, "--order", "6", "check", "--oracle-max-n", "0", "--out", str(path))
+    assert code == EXIT_OK and out == ""
+    _, want, _ = run(capsys, "--order", "6", "check", "--oracle-max-n", "0")
+    assert path.read_text(encoding="utf-8") == want
 
 
 RELATIONS = {f"relation-{kind.value}" for kind in genfun.GFKind}

@@ -17,6 +17,7 @@ from gforest.genfun import (
     extract_counts,
     forest_gf_via_lagrange,
     relation_residual,
+    relation_table,
     series_for,
     verify_algebraic_relation,
 )
@@ -201,17 +202,31 @@ def test_euler_rejects_tree_kinds_and_bad_range():
 # -- transcribed relations -----------------------------------------------------------
 
 
+def _residual_term_by_term(kind, series):
+    """The relation residual summed one transcribed term at a time."""
+    table = relation_table(kind)
+    powers = [series**j for j in range(table["degree"] + 1)]
+    residual = TruncSeries.zero(series.order)
+    for j, dx, dy, dq, num, den in table["terms"]:
+        coeff = BivarPoly.monomial(Fraction(num, den), dy, dq)
+        residual = residual + (powers[j] * coeff).shift_up(dx).truncate(series.order)
+    return residual
+
+
 @pytest.mark.parametrize("kind", list(GFKind))
 def test_algebraic_relations_hold(kind):
     ok, report = verify_algebraic_relation(kind, 12)
     assert ok, report
+    series = series_for(kind, 12)
+    assert relation_residual(kind, series) == _residual_term_by_term(kind, series)
 
 
 def test_relation_detects_perturbation():
-    series = series_for(GFKind.GRASS_TREE, 8) + TruncSeries.from_dict({3: 1}, 8)
-    residual = relation_residual(GFKind.GRASS_TREE, series)
-    assert residual.valuation() is not None
-    assert residual.valuation() <= 8
+    for kind in GFKind:
+        series = series_for(kind, 12) + TruncSeries.from_dict({3: 1}, 12)
+        residual = relation_residual(kind, series)
+        assert residual == _residual_term_by_term(kind, series)
+        assert residual.valuation() is not None
 
 
 # -- extraction guards ----------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gforest.ring import ONE, ZERO, BivarPoly, NonExactDivision, Q, Y
+from gforest.ring import ONE, ZERO, BivarPoly, NonExactDivision, Q, Y, dot
 
 
 def P(terms):
@@ -101,6 +101,34 @@ def test_power_matches_repeated_product(a, e):
     for _ in range(e):
         expect = expect * a
     assert a**e == expect
+
+
+@given(st.lists(st.tuples(polys, polys), max_size=6))
+@settings(max_examples=60)
+def test_dot_is_the_sum_of_products(pairs):
+    expect = ZERO
+    for a, b in pairs:
+        expect = expect + a * b
+    typed = lambda p: {m: (c, type(c)) for m, c in p.term_map().items()}  # noqa: E731
+    assert typed(dot(iter(pairs))) == typed(expect)
+
+
+def test_dot_of_nothing_is_zero():
+    assert dot([]) == ZERO
+
+
+def test_dot_stores_no_cancelled_term():
+    p = (1 + Y) * Q
+    total = dot([(p, ONE), (-p, ONE), (Y, Q), (ONE, P({(0, 0): 2}))])
+    assert total.term_map() == {(1, 1): 1, (0, 0): 2}
+    assert dot([(1 + Y, 1 - Y), (Y, Y)]).term_map() == {(0, 0): 1}
+
+
+def test_dot_collapses_whole_fractions_to_int():
+    half = P({(0, 1): Fraction(1, 2)})
+    total = dot([(half, P({(1, 0): 3})), (half, P({(1, 0): 1}))])
+    assert total.term_map() == {(1, 1): 2}
+    assert type(total.coefficient(1, 1)) is int
 
 
 @given(polys, polys)
