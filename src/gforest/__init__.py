@@ -14,11 +14,11 @@ from .series import (
     NotInvertible,
     TruncSeries,
     lagrange_coefficient,
+    power_coefficient,
 )
 from .transforms import (
     InvalidWeight,
     alternating_weight_series,
-    dissection_transform,
     forest_transform,
     nc_weight_series,
     speicher_transform,

@@ -22,18 +22,11 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 
-_KINDS = {k.value: k for k in GFKind}
+_KINDS = sorted(k.value for k in GFKind)
 
 
 class ConfigError(Exception):
     pass
-
-
-def _kind(name: str) -> GFKind:
-    try:
-        return _KINDS[name]
-    except KeyError:
-        raise ConfigError(f"unknown kind {name!r}; choose from {sorted(_KINDS)}")
 
 
 def _table_rows(n_min: int, n_max: int, kind: GFKind):
@@ -82,8 +75,11 @@ def reference_table_text() -> str:
 def cmd_table(args) -> int:
     if args.n_min < 1 or args.n_min > args.n_max:
         raise ConfigError("need 1 <= --n-min <= --n-max")
-    out = render_table(args.n_min, args.n_max, _kind(args.kind), args.format, args.order)
-    _write(args.out, out)
+    if args.n_max > args.order:
+        raise ConfigError(f"--n-max {args.n_max} exceeds working order {args.order}")
+    with _output(args.out) as fh:
+        kind = GFKind(args.kind)
+        fh.write(render_table(args.n_min, args.n_max, kind, args.format, args.order))
     return EXIT_OK
 
 
@@ -94,8 +90,9 @@ def cmd_coeff(args) -> int:
         raise ConfigError("need 0 <= k <= n")
     if args.n > args.order:
         raise ConfigError(f"n = {args.n} exceeds working order {args.order}")
-    poly = genfun.coefficient_poly(_kind(args.kind), args.n, args.k, args.order)
-    _write(args.out, poly.to_text() + "\n")
+    with _output(args.out) as fh:
+        poly = genfun.coefficient_poly(GFKind(args.kind), args.n, args.k, args.order)
+        fh.write(poly.to_text() + "\n")
     return EXIT_OK
 
 
@@ -104,8 +101,9 @@ def cmd_euler(args) -> int:
         raise ConfigError("need 2 <= k <= n-2")
     if args.n > args.order:
         raise ConfigError(f"n = {args.n} exceeds working order {args.order}")
-    value = genfun.euler_characteristic(GFKind.GRASS_FOREST, args.n, args.k)
-    _write(args.out, f"{value}\n")
+    with _output(args.out) as fh:
+        value = genfun.euler_characteristic(GFKind.GRASS_FOREST, args.n, args.k)
+        fh.write(f"{value}\n")
     return EXIT_OK if value == 1 else EXIT_MISMATCH
 
 
@@ -114,8 +112,9 @@ def cmd_relations(args) -> int:
         raise ConfigError("--order must be >= 6")
     if args.relation_order > args.order:
         raise ConfigError(f"--order {args.relation_order} exceeds working order {args.order}")
-    ok, report = genfun.verify_algebraic_relation(_kind(args.kind), args.relation_order)
-    _write(args.out, report + "\n")
+    with _output(args.out) as fh:
+        ok, report = genfun.verify_algebraic_relation(GFKind(args.kind), args.relation_order)
+        fh.write(report + "\n")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -125,23 +124,24 @@ def cmd_perms(args) -> int:
     if args.budget_n < 1:
         raise ConfigError("need --budget-n >= 1")
     by_descents = args.by == "descents"
-    if args.family == "separable":
-        hist = perms.enumerate_separable(args.n, by_descents, budget=args.budget_n)
-    else:
-        enum = (
-            perms.enumerate_grass_tree_permutations
-            if args.family == "grass-tree"
-            else perms.enumerate_grass_forest_permutations
-        )
-        hist = {}
-        for w in enum(args.n):
-            key = (
-                perms.descents(w.images) if by_descents else perms.antiexcedances(w)
+    with _output(args.out) as fh:
+        if args.family == "separable":
+            hist = perms.enumerate_separable(args.n, by_descents, budget=args.budget_n)
+        else:
+            enum = (
+                perms.enumerate_grass_tree_permutations
+                if args.family == "grass-tree"
+                else perms.enumerate_grass_forest_permutations
             )
-            hist[key] = hist.get(key, 0) + 1
-    lines = [f"{key} {hist[key]}" for key in sorted(hist)]
-    lines.append(f"total {sum(hist.values())}")
-    _write(args.out, "\n".join(lines) + "\n")
+            hist = {}
+            for w in enum(args.n):
+                key = (
+                    perms.descents(w.images) if by_descents else perms.antiexcedances(w)
+                )
+                hist[key] = hist.get(key, 0) + 1
+        lines = [f"{key} {hist[key]}" for key in sorted(hist)]
+        lines.append(f"total {sum(hist.values())}")
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -267,11 +267,6 @@ def _output(path):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _write(path, text: str):
-    with _output(path) as fh:
-        fh.write(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gforest",
@@ -289,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="coefficient table for 2 <= k <= floor(n/2)")
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--kind", default=GFKind.GRASS_FOREST.value, choices=sorted(_KINDS))
+    p.add_argument("--kind", default=GFKind.GRASS_FOREST.value, choices=_KINDS)
     p.add_argument("--format", default="text", choices=["text", "csv", "json", "latex-table"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)
@@ -297,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeff", help="single [x^n y^k] coefficient as a q-polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kind", default=GFKind.GRASS_FOREST.value, choices=sorted(_KINDS))
+    p.add_argument("--kind", default=GFKind.GRASS_FOREST.value, choices=_KINDS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_coeff)
 
@@ -314,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("relations", help="verify the transcribed algebraic relation")
-    p.add_argument("--kind", default=GFKind.GRASS_FOREST.value, choices=sorted(_KINDS))
+    p.add_argument("--kind", default=GFKind.GRASS_FOREST.value, choices=_KINDS)
     p.add_argument("--order", dest="relation_order", type=int, default=12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_relations)
@@ -344,7 +339,7 @@ def main(argv=None) -> int:
         if args.order < 1:
             raise ConfigError("order must be >= 1")
         return args.func(args)
-    except (ConfigError, oracle.BudgetExceeded) as exc:
+    except (ConfigError, oracle.BudgetExceeded, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except genfun.IntegralityViolation as exc:

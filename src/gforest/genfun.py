@@ -25,7 +25,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .ring import ONE, BivarPoly, Q, Y, dot
-from .series import TruncSeries
+from .series import TruncSeries, power_coefficient
 
 DEFAULT_ORDER = 14
 
@@ -150,7 +150,7 @@ def series_for(kind: GFKind, order: int) -> TruncSeries:
 @lru_cache(maxsize=None)
 def _tree_power(kind: GFKind, n: int) -> BivarPoly:
     """[x^n] (1 + G_tree)^(n+1), from the n-prefix of the tree series."""
-    return ((1 + series_for(kind, n)) ** (n + 1))[n]
+    return power_coefficient(1 + series_for(kind, n), n + 1, n)
 
 
 def forest_gf_via_lagrange(kind: GFKind, n: int, order: int | None = None) -> dict:

@@ -9,6 +9,8 @@ the coefficients of the powers of g found so far; it needs only products
 and sums of coefficients.  Composition (`compose`, Horner's rule) and
 Lagrange inversion (`lagrange_coefficient`, which never builds the
 inverse) share no code with it, so either can cross-validate it.
+`power_coefficient`, the shared helper behind the Lagrange route, gives
+[x^m] f^e by Miller's recurrence without building any power of f.
 
 A coefficient that is a sum of products, in a product, a division or an
 inversion, is one `ring.dot` call, so no partial sum is ever built.
@@ -22,7 +24,7 @@ from .ring import ONE, ZERO, BivarPoly, as_poly, dot
 
 
 class NonUnitConstantTerm(ArithmeticError):
-    """Divisor series has a non-invertible constant term."""
+    """A divisor, or the base of a power, has a non-invertible constant term."""
 
 
 class NonzeroConstantTerm(ArithmeticError):
@@ -170,19 +172,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative series power")
-        result = TruncSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             inv = Fraction(1, 1) / other
@@ -252,23 +241,48 @@ class TruncSeries:
         return self.map_coefficients(lambda c: c.eval_y(v))
 
 
+def power_coefficient(f: TruncSeries, e, m: int) -> BivarPoly:
+    """[x^m] f^e for an int or Fraction e, by J.C.P. Miller's recurrence.
+
+    f's x^0 coefficient must be a nonzero rational a0, and a0^e rational.
+    From p_0 = a0^e, each p_j = (1/(j a0)) sum_{k=1..j} ((e+1)k - j) a_k p_(j-k)
+    is one `dot`, so no power of f is built (Knuth, TAOCP Vol. 2, 4.7)."""
+    if not 0 <= m <= f.order:
+        raise ValueError(f"x^{m} is beyond the series order {f.order}")
+    a = f._c
+    if not (a[0] and a[0].is_constant()):
+        raise NonUnitConstantTerm("x^0 coefficient is not a nonzero rational constant")
+    a0 = Fraction(a[0].constant_coefficient())
+    num, d = e.numerator, e.denominator  # a0^e is the d-th root of b = a0^num
+    b, root = a0**num, []
+    for n in (abs(b.numerator), b.denominator):  # integer Newton from above
+        r = 1 << -(-n.bit_length() // d)
+        while r**d > n:
+            r = ((d - 1) * r + n // r ** (d - 1)) // d
+        root.append(r)
+    p0 = Fraction(*root) * (1 if b > 0 else -1)
+    if p0**d != b:
+        raise ValueError(f"{a0}^{e} is not rational")
+    p = [as_poly(p0)]
+    for j in range(1, m + 1):
+        s = dot((a[k].scale((e + 1) * k - j), p[j - k]) for k in range(1, j + 1))
+        p.append(s.scale(1 / (j * a0)))
+    return p[m]
+
+
 def lagrange_coefficient(c_series: TruncSeries, n: int, k: int) -> BivarPoly:
     """[x^n] of the k-th power of the compositional inverse of c_series.
 
-    Computed as (k/n) [x^(n-k)] (x / c_series)^n, never constructing the
-    inverse itself.  Like `reversion`, needs a zero constant term and a
-    nonzero rational constant as the x^1 coefficient.
+    Computed as (k/n) [x^(n-k)] (x / c_series)^n by `power_coefficient`,
+    never constructing the inverse itself.  Like `reversion`, needs a zero
+    constant term and a nonzero rational constant as the x^1 coefficient.
     """
     if not (n >= k >= 1):
         raise ValueError("need n >= k >= 1")
     if c_series.order < n - k + 1:
         raise ValueError("series order too small for the requested coefficient")
-    if c_series._c[0]:
-        raise NotInvertible("series with nonzero constant term has no inverse")
-    f1 = c_series._c[1]
-    if not (f1 and f1.is_constant()):
-        raise NotInvertible("x^1 coefficient is not a nonzero rational constant")
-    base = c_series.shift_down(1).truncate(n - k) if n > k else TruncSeries([f1], 0)
-    recip = TruncSeries.one(base.order) / base
-    coeff = (recip**n)[n - k]
-    return coeff.scale(Fraction(k, n))
+    f0, f1 = c_series._c[:2]
+    if f0 or not (f1 and f1.is_constant()):
+        raise NotInvertible("need a zero x^0 and a nonzero rational x^1 coefficient")
+    base = c_series.shift_down(1).truncate(n - k)
+    return power_coefficient(base, -n, n - k).scale(Fraction(k, n))

@@ -98,16 +98,6 @@ def tree_transform(f, order: int | None = None) -> TruncSeries:
     return c.reversion().shift_up(1)
 
 
-def dissection_transform(f, order: int | None = None) -> TruncSeries:
-    """Polygon-dissection aggregate of a cell-weight series.
-
-    Identical formula to `tree_transform` (cells of a dissection of the
-    n-gon correspond to internal vertices of the dual tree); kept as a
-    separate named operation so call sites say what they enumerate.
-    """
-    return tree_transform(f, order)
-
-
 def forest_transform(f, h1=0, order: int | None = None) -> TruncSeries:
     """Series-reduced planar forest aggregate.
 

@@ -244,6 +244,28 @@ def test_check_skips_checks_the_order_leaves_empty(capsys, order, skipped):
     assert lines[-1] == f"checks passed, {len(skipped)} skipped"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table"],
+        ["coeff", "--n", "4", "--k", "2"],
+        ["euler", "--n", "6", "--k", "3"],
+        ["relations"],
+        ["perms", "--family", "separable", "--n", "4"],
+        ["check"],
+    ],
+)
+def test_unwritable_out_is_config_error_before_computing(capsys, monkeypatch, tmp_path, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("the computation ran")
+
+    monkeypatch.setattr(genfun, "series_for", never)
+    monkeypatch.setattr(cli.perms, "enumerate_separable", never)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))  # a directory
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
 def test_library_value_error_is_not_a_config_error(capsys, monkeypatch):
     def broken(*args):
         raise ValueError("internal bug")

@@ -205,7 +205,9 @@ def test_euler_rejects_tree_kinds_and_bad_range():
 def _residual_term_by_term(kind, series):
     """The relation residual summed one transcribed term at a time."""
     table = relation_table(kind)
-    powers = [series**j for j in range(table["degree"] + 1)]
+    powers = [TruncSeries.one(series.order)]
+    for _ in range(table["degree"]):
+        powers.append(powers[-1] * series)
     residual = TruncSeries.zero(series.order)
     for j, dx, dy, dq, num, den in table["terms"]:
         coeff = BivarPoly.monomial(Fraction(num, den), dy, dq)

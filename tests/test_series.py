@@ -12,6 +12,7 @@ from gforest.series import (
     NotInvertible,
     TruncSeries,
     lagrange_coefficient,
+    power_coefficient,
 )
 
 
@@ -209,16 +210,66 @@ def test_lagrange_matches_reversion_powers_to_ten():
             assert lagrange_coefficient(f, n, k) == power[n], (n, k)
 
 
+def _power_by_products(f, e):
+    """f^e by repeated plain products of f, or of TruncSeries.one / f for e < 0."""
+    base = f if e >= 0 else TruncSeries.one(f.order) / f
+    power = TruncSeries.one(f.order)
+    for _ in range(abs(e)):
+        power = power * base
+    return power
+
+
 @given(
     st.lists(small_polys, min_size=4, max_size=4),
     st.lists(small_polys, min_size=3, max_size=3),
-    st.integers(min_value=-3, max_value=3).filter(bool),
+    st.integers(min_value=-3, max_value=3).filter(bool)
+    | st.sampled_from([Fraction(-3, 2), Fraction(1, 2)]),
+    st.integers(min_value=-4, max_value=5),
 )
+@example([1, Y, 0, Q], [1 + Q, Y, -2], 2, 5)
+@example([1, Y, 0, Q], [1 + Q, Y, -2], Fraction(-3, 2), -3)
+@example([1, Y, 0, Q], [1 + Q, Y, -2], Fraction(-3, 2), 0)
 @settings(max_examples=40, deadline=None)
-def test_division_inverts_multiplication(a_tail, b_tail, b0):
+def test_division_inverts_multiplication(a_tail, b_tail, b0, e):
     a = TruncSeries(a_tail, 3)
     b = TruncSeries([b0, *b_tail], 3)
     assert (a * b) / b == a
+    # Miller's recurrence for [x^m] b^e against plain products, for every m.
+    expect = _power_by_products(b, e)
+    assert [power_coefficient(b, e, m) for m in range(4)] == list(expect.coefficients())
+
+
+def test_power_coefficient_rational_exponents():
+    def coeffs(f, e):
+        return [power_coefficient(f, e, m) for m in range(f.order + 1)]
+
+    square = S([1, 2, 1, 0, 0])  # (1 + x)^2
+    assert coeffs(square, Fraction(1, 2)) == [1, 1, 0, 0, 0]
+    assert coeffs(square, Fraction(-1, 2)) == [1, -1, 1, -1, 1]
+    assert coeffs(square * 4, Fraction(3, 2)) == [8, 24, 24, 8, 0]
+    assert coeffs(S([Fraction(9, 4)]), Fraction(3, 2)) == [Fraction(27, 8)]
+    assert coeffs(S([-8]), Fraction(1, 3)) == [-2]
+    assert coeffs(S([-8]), Fraction(2, 3)) == [4]
+    assert coeffs(S([Fraction(-27, 8)]), Fraction(-1, 3)) == [Fraction(-2, 3)]
+    assert coeffs(S([3**70]), Fraction(1, 2)) == [3**35]  # beyond float precision
+    assert coeffs(S([Fraction(49, 10**14)]), Fraction(1, 2)) == [Fraction(7, 10**7)]
+    with pytest.raises(ValueError):
+        power_coefficient(S([2, 1]), Fraction(1, 2), 1)  # the square root of 2
+    with pytest.raises(ValueError):
+        power_coefficient(S([-4, 1]), Fraction(1, 2), 1)
+
+
+def test_power_coefficient_argument_validation():
+    with pytest.raises(NonUnitConstantTerm):
+        power_coefficient(S([0, 1, 1]), 2, 1)
+    with pytest.raises(NonUnitConstantTerm):
+        power_coefficient(S([Y, 1, 1]), 2, 1)
+    with pytest.raises(NonUnitConstantTerm):
+        power_coefficient(S([1 + Y, 1, 1]), -1, 1)
+    with pytest.raises(ValueError):
+        power_coefficient(S([1, 1, 1]), 3, 3)
+    with pytest.raises(ValueError):
+        power_coefficient(S([1, 1, 1]), 3, -1)
 
 
 def test_shift_down_requires_divisibility():

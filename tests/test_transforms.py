@@ -18,7 +18,6 @@ from gforest.series import TruncSeries
 from gforest.transforms import (
     InvalidWeight,
     alternating_weight_series,
-    dissection_transform,
     forest_transform,
     nc_weight_series,
     speicher_transform,
@@ -185,22 +184,24 @@ def test_forest_factors_through_block_transform(seed):
 
 
 # -- dissections --------------------------------------------------------------------
+# tree_transform counts dissections too: the cells of a dissection of the n-gon
+# are the internal vertices of its dual tree.
 
 
 def test_dissection_counts():
-    h = dissection_transform({d: 1 for d in range(3, 9)}, 8)
+    h = tree_transform({d: 1 for d in range(3, 9)}, 8)
     for n in range(3, 8):
         assert h[n].constant_coefficient() == len(list(enumerate_dissections(n)))
 
 
 def test_dissection_triangulations_are_catalan():
-    h = dissection_transform({3: 1}, 8)
+    h = tree_transform({3: 1}, 8)
     assert [h[n].constant_coefficient() for n in range(3, 9)] == CATALAN[1:7]
 
 
 def test_dissection_size_marker_matches_piece_sizes():
     f = {d: BivarPoly({(d, 0): 1}) for d in range(3, 7)}
-    h = dissection_transform(f, 6)
+    h = tree_transform(f, 6)
     for n in range(3, 7):
         expect = {}
         for rho in enumerate_dissections(n):
