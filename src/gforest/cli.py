@@ -123,6 +123,8 @@ def cmd_perms(args) -> int:
         raise ConfigError("need --n >= 1")
     if args.budget_n < 1:
         raise ConfigError("need --budget-n >= 1")
+    if args.family == "separable" and args.n > args.budget_n:
+        raise ConfigError(f"separable enumeration capped at n = {args.budget_n}")
     by_descents = args.by == "descents"
     with _output(args.out) as fh:
         if args.family == "separable":

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from . import transforms
 from .ring import ONE, BivarPoly, Q, Y, dot
 from .series import TruncSeries, power_coefficient
 
@@ -115,12 +116,11 @@ def build_tree_gf(kind: GFKind, order: int) -> TruncSeries:
 
 @lru_cache(maxsize=2)
 def build_forest_gf(kind: GFKind, order: int) -> TruncSeries:
-    """Forest generating function, via x G_forest = (x / (1 + G_tree))^<-1>."""
+    """Forest generating function: the Speicher transform of 1 + G_tree, so
+    that x G_forest = (x / (1 + G_tree))^<-1>."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    tree = series_for(kind.tree_kind, order)
-    recip = TruncSeries.one(order) / (1 + tree)
-    return recip.shift_up(1).reversion().shift_down(1)
+    return transforms.speicher_transform(1 + series_for(kind.tree_kind, order))
 
 
 _longest: dict = {}  # GFKind -> the longest series of that kind built so far

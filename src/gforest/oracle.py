@@ -3,8 +3,9 @@
 Everything here works from the definitions, independently of the series
 machinery, so the two can cross-check each other coefficient by
 coefficient.  `count_by_statistics` counts without building objects: trees
-are summed by leaf count over the subtrees at each vertex, and forests over
-every noncrossing partition, grouped by the multiset of block sizes.
+are summed by leaf count over the subtrees at each vertex, and forests by
+the tree on the first point's block and the forests in the gaps after it
+(the blocks of a forest form a noncrossing partition).
 
 Encodings (plain nested tuples, hashable and canonical):
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
 
 from .genfun import GFKind
 
@@ -419,14 +419,12 @@ def contract_fully(G):
 # -- statistics -------------------------------------------------------------------
 
 
-def _convolve(a, b) -> dict:
-    """Product of two histograms given as (key, count) pairs."""
-    out = {}
+def _convolve_into(out: dict, a, b) -> None:
+    """Add the product of two histograms, given as (key, count) pairs, to `out`."""
     for (k1, r1), c1 in a:
         for (k2, r2), c2 in b:
             key = (k1 + k2, r1 + r2)
             out[key] = out.get(key, 0) + c1 * c2
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -444,27 +442,37 @@ def _subtree_hist(leaves: int, parent_color, plabic: bool, contracted: bool) -> 
             color = vertex_color(h, deg)
             if contracted and color is not None and color == parent_color:
                 continue
-            dh, dm = h - 1, vertex_mom_dimension(h, deg) - 1
-            for (k, r), c in _children_hist(d, leaves, color, plabic, contracted):
-                key = (k + dh, r + dm)
-                hist[key] = hist.get(key, 0) + c
+            root = (((h - 1, vertex_mom_dimension(h, deg) - 1), 1),)
+            children = _sequence_hist(_subtree_hist, 1, d, leaves, color, plabic, contracted)
+            _convolve_into(hist, root, children)
     return tuple(sorted(hist.items()))
 
 
 @lru_cache(maxsize=None)
-def _children_hist(
-    count: int, leaves: int, parent_color, plabic: bool, contracted: bool
-) -> tuple:
-    """Histogram over ordered sequences of `count` subtrees on `leaves` leaves in
-    all, below a vertex of colour `parent_color`; split off the first child."""
-    if count == 1:
-        return _subtree_hist(leaves, parent_color, plabic, contracted)
+def _forest_hist(points: int, plabic: bool, contracted: bool) -> tuple:
+    """Histogram {(helicity, dimension): count} over decorated forests on
+    `points` points: the tree on the first point's block of `size` points,
+    then a possibly empty forest in each of the `size` gaps after its points."""
+    if points == 0:
+        return (((0, 0), 1),)
     hist = {}
-    for first in range(1, leaves - count + 2):
-        rest = _children_hist(count - 1, leaves - first, parent_color, plabic, contracted)
-        head = _subtree_hist(first, parent_color, plabic, contracted)
-        for key, c in _convolve(head, rest).items():
-            hist[key] = hist.get(key, 0) + c
+    for size in range(1, points + 1):
+        gaps = _sequence_hist(_forest_hist, 0, size, points - size, plabic, contracted)
+        _convolve_into(hist, _block_hist(size, plabic, contracted), gaps)
+    return tuple(sorted(hist.items()))
+
+
+@lru_cache(maxsize=None)
+def _sequence_hist(part, smallest: int, count: int, total: int, *args) -> tuple:
+    """Histogram over ordered sequences of `count` parts, each counted by
+    `part(points, *args)` on at least `smallest` points, with `total` points
+    in all; split off the first part."""
+    if count == 1:
+        return part(total, *args)
+    hist = {}
+    for first in range(smallest, total - (count - 1) * smallest + 1):
+        rest = _sequence_hist(part, smallest, count - 1, total - first, *args)
+        _convolve_into(hist, part(first, *args), rest)
     return tuple(sorted(hist.items()))
 
 
@@ -489,43 +497,24 @@ def count_by_statistics(
 ) -> dict:
     """Exact histogram {(helicity k, dimension r): count} for the family.
 
-    Trees are summed by leaf count: a decorated tree is a root vertex over an
-    ordered sequence of subtrees, and its statistics add over them.  Forest
-    kinds visit every noncrossing partition, whose histogram is the product of
-    its block histograms (statistics are additive over components), so the
-    partitions are grouped by their multiset of block sizes and each type is
-    convolved once.  `budget` caps the number of decorated objects accounted
-    for, partition by partition.
+    Statistics add over the parts of an object, so histograms multiply.  A
+    decorated tree is a root vertex over an ordered sequence of subtrees,
+    summed by leaf count.  A forest is the tree on the first point's block
+    of s points followed by a possibly empty forest in each of the s gaps
+    after that block's points.  `budget` caps the number of decorated
+    objects counted.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    plabic = kind.is_plabic
-    if kind.is_tree:
-        hist = dict(_block_hist(n, plabic, contracted_only))
-        seen = sum(hist.values())
-        if seen > budget:
-            raise BudgetExceeded(f"{seen} decorated trees exceed budget {budget}")
-        return hist
-    block_total = {
-        size: sum(c for _, c in _block_hist(size, plabic, contracted_only))
-        for size in range(1, n + 1)
-    }
-    types = {}
-    seen = 0
-    for partition in enumerate_nc_partitions(n):
-        sizes = tuple(sorted(len(block) for block in partition))
-        types[sizes] = types.get(sizes, 0) + 1
-        seen += prod(block_total[size] for size in sizes)
-        if seen > budget:
-            raise BudgetExceeded(f"enumeration ceiling {budget} hit at n = {n}")
-    total = {}
-    for sizes, multiplicity in types.items():
-        hist = {(0, 0): 1}
-        for size in sizes:
-            hist = _convolve(hist.items(), _block_hist(size, plabic, contracted_only))
-        for key, c in hist.items():
-            total[key] = total.get(key, 0) + c * multiplicity
-    return total
+    count = _block_hist if kind.is_tree else _forest_hist
+    hist = dict(count(n, kind.is_plabic, contracted_only))
+    seen = sum(hist.values())
+    if seen > budget:
+        raise BudgetExceeded(
+            f"enumeration ceiling {budget} hit at n = {n}: "
+            f"{seen} decorated objects exceed budget {budget}"
+        )
+    return hist
 
 
 # -- serialization -----------------------------------------------------------------

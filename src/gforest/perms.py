@@ -284,9 +284,8 @@ def grass_tree_permutation_sets(max_n: int, budget: int = 10**6) -> dict:
         candidates = [cyclic_rotation(w)]
         for m in range(2, max_n + 2 - w.n + 1):
             for other in list(by_size.get(m, ())):
-                if w.n + m - 2 <= max_n:
-                    candidates.append(amalgamation(w, other))
-                    candidates.append(amalgamation(other, w))
+                candidates.append(amalgamation(w, other))
+                candidates.append(amalgamation(other, w))
         for c in candidates:
             if c not in by_size[c.n]:
                 by_size[c.n].add(c)

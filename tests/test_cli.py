@@ -156,6 +156,14 @@ def test_perms_budget_is_config_error(capsys):
     assert code == EXIT_CONFIG and "capped" in err
 
 
+def test_perms_over_budget_n_leaves_the_out_file_alone(capsys, tmp_path):
+    path = tmp_path / "perms.txt"
+    path.write_bytes(b"kept\n")
+    code, out, err = run(capsys, "perms", "--family", "separable", "--n", "11", "--out", str(path))
+    assert code == EXIT_CONFIG and "capped at n = 10" in err and out == ""
+    assert path.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_perms_rejects_nonpositive_budget(capsys, monkeypatch, budget):
     def never(*args, **kwargs):
@@ -278,7 +286,9 @@ def test_library_value_error_is_not_a_config_error(capsys, monkeypatch):
 def test_check_reports_injected_mom_dimension_bug(capsys, monkeypatch):
     # An off-by-one in the per-vertex dimension must surface at n = 3.
     original = oracle.vertex_mom_dimension
-    caches = (oracle._subtree_hist, oracle._children_hist, oracle._block_hist)
+    caches = (
+        oracle._subtree_hist, oracle._sequence_hist, oracle._forest_hist, oracle._block_hist
+    )
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(

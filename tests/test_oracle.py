@@ -253,12 +253,16 @@ def test_count_by_statistics_examples():
 @pytest.mark.parametrize("kind", list(GFKind))
 @pytest.mark.parametrize("n", range(1, 8))
 def test_histograms_match_object_level_enumeration(n, kind):
-    hist = Counter()
-    source = enumerate_trees(n) if kind.is_tree else enumerate_forests(n)
-    for F in source:
-        for G in decorate_grassmannian(F, plabic_only=kind.is_plabic):
-            hist[(helicity(G), mom_dimension(G))] += 1
-    assert dict(hist) == count_by_statistics(n, kind)
+    # Both count paths, contracted and not, in one test id per (n, kind).
+    for contracted in (True, False):
+        hist = Counter()
+        source = enumerate_trees(n) if kind.is_tree else enumerate_forests(n)
+        for F in source:
+            for G in decorate_grassmannian(
+                F, contracted_only=contracted, plabic_only=kind.is_plabic
+            ):
+                hist[(helicity(G), mom_dimension(G))] += 1
+        assert dict(hist) == count_by_statistics(n, kind, contracted_only=contracted)
 
 
 def test_budget_ceiling_raises():
