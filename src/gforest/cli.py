@@ -186,9 +186,9 @@ def run_checks(oracle_max_n: int, order: int, budget: int):
     oracle_max_n = min(oracle_max_n, order)
     unchecked = (None, "nothing to compare for --oracle-max-n < 1")
     ok, first = (True, "") if oracle_max_n >= 1 else unchecked
-    for kind in GFKind:
+    for kind in GFKind if oracle_max_n >= 1 else ():
+        series = genfun.series_for(kind, oracle_max_n)
         for n in range(1, oracle_max_n + 1):
-            series = genfun.series_for(kind, n)
             counts = oracle.count_by_statistics(n, kind, budget=budget)
             expect = genfun.extract_counts(series, n)
             if counts != expect:

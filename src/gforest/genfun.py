@@ -160,6 +160,8 @@ def forest_gf_via_lagrange(kind: GFKind, n: int, order: int | None = None) -> di
     second reversion entirely.  `order`, if given, is a cap that n must not
     exceed.  Returns {(k, r): count}.
     """
+    if kind.is_tree:
+        raise ValueError("the binomial-power route gives the forest series")
     if n < 1:
         raise ValueError("n must be positive")
     if order is not None and order < n:
@@ -228,38 +230,82 @@ def relation_table(kind: GFKind) -> dict:
     return _relations()[kind.value]
 
 
+class _RelationState:
+    """The residual of one kind's relation, extended in order of x.
+
+    [x^m] of the residual needs only the series' coefficients up to m, so
+    each coefficient, of the residual and of the stored powers S^2 ..
+    S^(d-1), is computed once and never changes.  S^1 is the series
+    itself; [x^k] S^d is one `dot` against S^(d-1) each time it is used.
+    """
+
+    def __init__(self, kind: GFKind):
+        table = relation_table(kind)
+        grouped = {}  # (j, dx) -> {(dy, dq): coefficient}
+        for j, dx, dy, dq, num, den in table["terms"]:
+            terms = grouped.setdefault((j, dx), {})
+            terms[dy, dq] = terms.get((dy, dq), 0) + Fraction(num, den)
+        self.coeffs = [(j, dx, BivarPoly(terms)) for (j, dx), terms in grouped.items()]
+        self.degree = table["degree"]
+        self.powers = [[] for _ in range(self.degree - 2)]  # [x^m] S^j at [j - 2][m]
+        self.residual = []
+
+    def extend(self, s) -> None:
+        """Compute the residual through x^(len(s) - 1) from S's coefficients s."""
+        d = self.degree
+        rows = [None, s, *self.powers]  # rows[j][k] = [x^k] S^j for 1 <= j < d
+
+        def power(j, k):  # [x^k] S^j; only the terms with j = 0 ask for k = 0
+            if j < d:
+                return rows[j][k] if j else ONE
+            return dot(zip(s[: k + 1], rows[j - 1][k::-1]))
+
+        for m in range(len(self.residual), len(s)):
+            for j in range(2, d):
+                rows[j].append(dot(zip(s[: m + 1], rows[j - 1][m::-1])))
+            self.residual.append(
+                dot(
+                    (c, power(j, m - dx))
+                    for j, dx, c in self.coeffs
+                    if dx <= m and (j or dx == m)
+                )
+            )
+
+
+_residuals: dict = {}  # GFKind -> the _RelationState of the kind's longest check
+_residuals_lock = threading.Lock()
+
+
 def relation_residual(kind: GFKind, series: TruncSeries) -> TruncSeries:
     """Substitute a series into the kind's transcribed polynomial relation.
 
     With the terms grouped by power j and x-shift dx, [x^m] of the residual
     is one `dot` over (coefficient, [x^(m-dx)] series^j)."""
-    table = relation_table(kind)
-    order = series.order
-    powers = [TruncSeries.one(order)]
-    for _ in range(table["degree"]):
-        powers.append(powers[-1] * series)
-    grouped = {}  # (j, dx) -> {(dy, dq): coefficient}
-    for j, dx, dy, dq, num, den in table["terms"]:
-        terms = grouped.setdefault((j, dx), {})
-        terms[dy, dq] = terms.get((dy, dq), 0) + Fraction(num, den)
-    coeffs = [(j, dx, BivarPoly(terms)) for (j, dx), terms in grouped.items()]
-    return TruncSeries(
-        [dot((c, powers[j][m - dx]) for j, dx, c in coeffs if dx <= m) for m in range(order + 1)],
-        order,
-    )
+    state = _RelationState(kind)
+    state.extend(series.coefficients())
+    return TruncSeries(state.residual, series.order)
 
 
 def verify_algebraic_relation(kind: GFKind, order: int = 12):
     """Check the computed series against its transcribed algebraic relation.
 
-    Returns (ok, report); the report names the first nonzero residual
-    coefficient if verification fails.
+    Each kind keeps the residual of its longest check so far, with the
+    powers of the series it needs, and a check computes only the residual
+    coefficients above that order; a check within it computes nothing.
+    Truncated coefficients never change as the series grows, so this is
+    exact.  Returns (ok, report); the report names the first nonzero
+    residual coefficient if verification fails.
     """
     if order < 6:
         raise ValueError("order must be >= 6 to be meaningful")
     series = series_for(kind, order)
-    residual = relation_residual(kind, series)
-    val = residual.valuation()
+    with _residuals_lock:
+        state = _residuals.get(kind)
+        if state is None:
+            state = _residuals[kind] = _RelationState(kind)
+        state.extend(series.coefficients())
+        residual = state.residual[: order + 1]
+    val = next((m for m, c in enumerate(residual) if c), None)
     if val is None:
         return True, f"{kind.value}: residual is 0 through x^{order}"
     return False, (

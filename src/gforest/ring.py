@@ -184,9 +184,16 @@ class BivarPoly:
         return BivarPoly._raw(_clean({k: v * c for k, v in self._t.items()}))
 
     def divide_scalar(self, c):
-        """Exact division by a nonzero rational."""
+        """Exact division by a nonzero rational.
+
+        An integer that divides every coefficient, all of them integers,
+        divides them by `//`, so no Fraction is made."""
         if not c:
             raise ZeroDivisionError("division of polynomial by zero")
+        c = _norm(c)
+        t = self._t
+        if type(c) is int and all(type(v) is int and not v % c for v in t.values()):
+            return BivarPoly._raw({k: v // c for k, v in t.items()})
         return self.scale(Fraction(1, 1) / c)
 
     def divide_exact(self, other: "BivarPoly") -> "BivarPoly":

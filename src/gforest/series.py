@@ -266,7 +266,7 @@ def power_coefficient(f: TruncSeries, e, m: int) -> BivarPoly:
     p = [as_poly(p0)]
     for j in range(1, m + 1):
         s = dot((a[k].scale((e + 1) * k - j), p[j - k]) for k in range(1, j + 1))
-        p.append(s.scale(1 / (j * a0)))
+        p.append(s.divide_scalar(j * a0))
     return p[m]
 
 

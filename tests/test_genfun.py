@@ -1,11 +1,14 @@
 """The four headline series against hand values, the oracle, and each other."""
 
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from gforest import genfun
+from gforest import cli, genfun
 from gforest.genfun import (
     GFKind,
     IntegralityViolation,
@@ -177,6 +180,12 @@ def test_dual_path_equality(kind):
         assert forest_gf_via_lagrange(kind, n, order) == extract_counts(f, n), n
 
 
+@pytest.mark.parametrize("kind", [GFKind.PLABIC_TREE, GFKind.GRASS_TREE])
+def test_lagrange_route_rejects_tree_kinds(kind):
+    with pytest.raises(ValueError, match="forest"):
+        forest_gf_via_lagrange(kind, 4)
+
+
 # -- Euler specialisation -----------------------------------------------------------
 
 
@@ -258,10 +267,16 @@ def test_coefficient_poly_examples():
 # -- the series cache -------------------------------------------------------------------
 
 
+def _empty_stores(monkeypatch):
+    """Empty the series cache and the relation residual store built on it."""
+    monkeypatch.setattr(genfun, "_longest", {})
+    monkeypatch.setattr(genfun, "_residuals", {})
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """An empty series cache; records each (kind, order) a builder is called for."""
-    monkeypatch.setattr(genfun, "_longest", {})
+    """Empty stores; records each (kind, order) a builder is called for."""
+    _empty_stores(monkeypatch)
     calls = []
     for builder in (build_tree_gf, build_forest_gf):
         builder.cache_clear()
@@ -284,7 +299,7 @@ def test_series_cache_serves_prefixes(kind, builds, monkeypatch):
     misses, built = _builder_misses(), len(builds)
     shorter = series_for(kind, 5)
     assert _builder_misses() == misses and len(builds) == built
-    monkeypatch.setattr(genfun, "_longest", {})
+    _empty_stores(monkeypatch)
     build_tree_gf.cache_clear()
     build_forest_gf.cache_clear()
     builder = build_tree_gf if kind.is_tree else build_forest_gf
@@ -322,6 +337,113 @@ def test_series_cache_never_shrinks(builds, monkeypatch):
     monkeypatch.setattr(genfun, "build_tree_gf", interleaved)
     assert series_for(kind, 5).order == 5
     assert genfun._longest[kind].order == 7
+
+
+def test_check_builds_each_kind_once(builds):
+    # The oracle comparison reads every n from one series per kind.
+    for name, _, _ in cli.run_checks(8, 8, 10**17):
+        if name == "oracle-equivalence":
+            break
+    assert sorted(builds, key=str) == sorted(((kind, 8) for kind in GFKind), key=str)
+
+
+# -- the relation residual store ----------------------------------------------------------
+
+
+def _implied_verdict(kind, order):
+    """What verify_algebraic_relation reports, from a fresh relation_residual."""
+    residual = relation_residual(kind, series_for(kind, order))
+    val = residual.valuation()
+    if val is None:
+        return True, f"{kind.value}: residual is 0 through x^{order}"
+    return False, f"{kind.value}: first nonzero residual at x^{val}: {residual[val].to_text()}"
+
+
+def test_residual_store_agrees_with_fresh_residuals(builds):
+    orders = list(range(6, 15))
+    implied = {(kind, o): _implied_verdict(kind, o) for kind in GFKind for o in orders}
+    assert not genfun._residuals
+    for sequence in (orders, orders[::-1], [7, 7, 12, 6, 12, 14, 9, 14, 6]):
+        for kind in GFKind:
+            for order in sequence:
+                assert verify_algebraic_relation(kind, order) == implied[kind, order]
+
+
+def _count_dots(monkeypatch):
+    calls = []
+    real = genfun.dot
+
+    def counted(pairs):
+        calls.append(1)
+        return real(pairs)
+
+    monkeypatch.setattr(genfun, "dot", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_residual_store_extends_without_recomputing(kind, builds, monkeypatch):
+    verify_algebraic_relation(kind, 12)
+    series_for(kind, 13)
+    calls = _count_dots(monkeypatch)
+    for order in (12, 6, 9):
+        assert verify_algebraic_relation(kind, order)[0]
+    assert not calls
+    assert verify_algebraic_relation(kind, 13)[0]
+    assert 0 < len(calls) <= 2 * relation_table(kind)["degree"]
+
+
+# A perturbation e x^3 changes the residual by e x^3 dP/dS, whose valuation
+# is 3 plus that of dP/dS along the series: 2 for the plabic kinds, 4 for the
+# Grassmannian ones.
+PERTURBED_VALUATION = {
+    GFKind.PLABIC_TREE: 5,
+    GFKind.PLABIC_FOREST: 5,
+    GFKind.GRASS_TREE: 7,
+    GFKind.GRASS_FOREST: 7,
+}
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_residual_store_reports_a_perturbed_series(kind, monkeypatch):
+    perturbed = series_for(kind, 12) + TruncSeries.from_dict({3: 1}, 12)
+    monkeypatch.setattr(genfun, "_longest", {kind: perturbed})
+    monkeypatch.setattr(genfun, "_residuals", {})
+    ok, report = verify_algebraic_relation(kind, 12)
+    residual = relation_residual(kind, perturbed)
+    val = PERTURBED_VALUATION[kind]
+    assert residual.valuation() == val
+    assert not ok
+    assert report == (
+        f"{kind.value}: first nonzero residual at x^{val}: {residual[val].to_text()}"
+    )
+
+
+def test_residual_store_under_threads(builds):
+    jobs = [(kind, order) for kind in GFKind for order in range(6, 13)]
+    results, errors = [], []
+
+    def worker(seed):
+        mine = jobs[:]
+        random.Random(seed).shuffle(mine)
+        try:
+            results.extend(verify_algebraic_relation(kind, o)[0] for kind, o in mine)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert results == [True] * (4 * len(jobs))
 
 
 # -- oracle equivalence (the central property) ----------------------------------------

@@ -103,13 +103,17 @@ def test_power_matches_repeated_product(a, e):
     assert a**e == expect
 
 
+def typed(p):
+    """The terms with each coefficient's type, so that 3 and Fraction(3) differ."""
+    return {m: (c, type(c)) for m, c in p.term_map().items()}
+
+
 @given(st.lists(st.tuples(polys, polys), max_size=6))
 @settings(max_examples=60)
 def test_dot_is_the_sum_of_products(pairs):
     expect = ZERO
     for a, b in pairs:
         expect = expect + a * b
-    typed = lambda p: {m: (c, type(c)) for m, c in p.term_map().items()}  # noqa: E731
     assert typed(dot(iter(pairs))) == typed(expect)
 
 
@@ -148,6 +152,22 @@ def test_divide_scalar():
     p = P({(0, 1): 3})
     assert p.divide_scalar(2) == P({(0, 1): Fraction(3, 2)})
     assert p.divide_scalar(3) == P({(0, 1): 1})
+
+
+int_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 5)), st.integers(-30, 30), max_size=6
+).map(BivarPoly)
+divisors = st.one_of(
+    st.integers(-12, 12), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+).filter(bool)
+
+
+@given(st.one_of(int_polys, polys), divisors, st.booleans())
+@settings(max_examples=120)
+def test_divide_scalar_is_scaling_by_the_inverse(a, c, divisible):
+    if divisible:
+        a = a.scale(c)  # every coefficient a multiple of c
+    assert typed(a.divide_scalar(c)) == typed(a.scale(Fraction(1, c)))
 
 
 def test_whole_fractions_collapse_to_int():
