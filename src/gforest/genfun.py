@@ -12,6 +12,13 @@ tree series by a second compositional inversion, with an independent
 Lagrange-inversion route (`forest_gf_via_lagrange`) kept for
 cross-validation.  `verify_algebraic_relation` checks the computed
 series against transcribed polynomial relations stored in data/.
+
+Truncated coefficients never change as a series grows, so both caches
+here only grow: `series_for` keeps the longest series of each kind, and
+the relation check keeps, per kind, the residual coefficients and the
+powers of the series it has computed, extending them in order of x as
+longer checks are asked for (the online power series of McIlroy,
+"Power series, power serious", JFP 1999).
 """
 
 from __future__ import annotations
@@ -231,12 +238,12 @@ def relation_table(kind: GFKind) -> dict:
 
 
 class _RelationState:
-    """The residual of one kind's relation, extended in order of x.
+    """One kind's relation residual, extended in order of x.
 
-    [x^m] of the residual needs only the series' coefficients up to m, so
-    each coefficient, of the residual and of the stored powers S^2 ..
-    S^(d-1), is computed once and never changes.  S^1 is the series
-    itself; [x^k] S^d is one `dot` against S^(d-1) each time it is used.
+    [x^m] of the residual needs only the series' coefficients up to m.
+    S^1 is the series itself and S^d is needed only by the residual, so
+    only S^2 .. S^(d-1) are stored; [x^k] S^d is one `dot` against
+    S^(d-1) each time it is used, which keeps the store smaller.
     """
 
     def __init__(self, kind: GFKind):
@@ -253,6 +260,8 @@ class _RelationState:
     def extend(self, s) -> None:
         """Compute the residual through x^(len(s) - 1) from S's coefficients s."""
         d = self.degree
+        for row in self.powers:  # an extension that raised may have left a partial step
+            del row[len(self.residual) :]
         rows = [None, s, *self.powers]  # rows[j][k] = [x^k] S^j for 1 <= j < d
 
         def power(j, k):  # [x^k] S^j; only the terms with j = 0 ask for k = 0
@@ -280,7 +289,8 @@ def relation_residual(kind: GFKind, series: TruncSeries) -> TruncSeries:
     """Substitute a series into the kind's transcribed polynomial relation.
 
     With the terms grouped by power j and x-shift dx, [x^m] of the residual
-    is one `dot` over (coefficient, [x^(m-dx)] series^j)."""
+    is one `dot` over (coefficient, [x^(m-dx)] series^j).  The residual is
+    extended from x^0 over a fresh state, as the check extends its own."""
     state = _RelationState(kind)
     state.extend(series.coefficients())
     return TruncSeries(state.residual, series.order)
@@ -304,8 +314,8 @@ def verify_algebraic_relation(kind: GFKind, order: int = 12):
         if state is None:
             state = _residuals[kind] = _RelationState(kind)
         state.extend(series.coefficients())
-        residual = state.residual[: order + 1]
-    val = next((m for m, c in enumerate(residual) if c), None)
+        residual = TruncSeries(state.residual[: order + 1], order)
+    val = residual.valuation()
     if val is None:
         return True, f"{kind.value}: residual is 0 through x^{order}"
     return False, (

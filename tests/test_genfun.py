@@ -393,6 +393,25 @@ def test_residual_store_extends_without_recomputing(kind, builds, monkeypatch):
     assert 0 < len(calls) <= 2 * relation_table(kind)["degree"]
 
 
+def test_residual_store_recovers_from_an_interrupted_extension(builds, monkeypatch):
+    kind = GFKind.GRASS_FOREST
+    verify_algebraic_relation(kind, 8)
+    real, calls = genfun.dot, []
+
+    def failing(pairs):  # raises between two stored powers of x^9
+        calls.append(1)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(pairs)
+
+    monkeypatch.setattr(genfun, "dot", failing)
+    with pytest.raises(KeyboardInterrupt):
+        verify_algebraic_relation(kind, 12)
+    monkeypatch.setattr(genfun, "dot", real)
+    assert verify_algebraic_relation(kind, 12) == _implied_verdict(kind, 12)
+    assert all(len(row) == 13 for row in genfun._residuals[kind].powers)
+
+
 # A perturbation e x^3 changes the residual by e x^3 dP/dS, whose valuation
 # is 3 plus that of dP/dS along the series: 2 for the plabic kinds, 4 for the
 # Grassmannian ones.
