@@ -23,6 +23,7 @@ EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 
 _KINDS = sorted(k.value for k in GFKind)
+FORMATS = ("text", "csv", "json", "latex-table")
 
 
 class ConfigError(Exception):
@@ -39,6 +40,8 @@ def _table_rows(n_min: int, n_max: int, kind: GFKind):
 
 def render_table(n_min: int, n_max: int, kind: GFKind, fmt: str, order: int) -> str:
     """Rows n_min <= n <= n_max of the kind's table; n_max may not exceed `order`."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}")
     if n_max > order:
         raise ConfigError(f"--n-max {n_max} exceeds working order {order}")
     rows = list(_table_rows(n_min, n_max, kind))
@@ -57,13 +60,11 @@ def render_table(n_min: int, n_max: int, kind: GFKind, fmt: str, order: int) -> 
             for (dy, dq), c in poly.terms():
                 writer.writerow([n, k, dq, c])
         return buf.getvalue()
-    if fmt == "json":
-        data = [
-            {"n": n, "k": k, "coefficients": poly.to_json_terms()}
-            for n, k, poly in rows
-        ]
-        return json.dumps(data, indent=1) + "\n"
-    raise ConfigError(f"unknown format {fmt!r}")
+    # json
+    data = [
+        {"n": n, "k": k, "coefficients": poly.to_json_terms()} for n, k, poly in rows
+    ]
+    return json.dumps(data, indent=1) + "\n"
 
 
 def reference_table_text() -> str:
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--kind", default=GFKind.GRASS_FOREST.value, choices=_KINDS)
-    p.add_argument("--format", default="text", choices=["text", "csv", "json", "latex-table"])
+    p.add_argument("--format", default="text", choices=FORMATS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)
 

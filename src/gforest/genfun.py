@@ -64,10 +64,6 @@ class GFKind(Enum):
     def tree_kind(self) -> "GFKind":
         return GFKind.PLABIC_TREE if self.is_plabic else GFKind.GRASS_TREE
 
-    @property
-    def forest_kind(self) -> "GFKind":
-        return GFKind.PLABIC_FOREST if self.is_plabic else GFKind.GRASS_FOREST
-
 
 def default_order() -> int:
     """The cap on n for the command line: GFOREST_ORDER, else DEFAULT_ORDER."""

@@ -267,33 +267,10 @@ def grass_tree_permutation_sets(max_n: int, budget: int = 10**6) -> dict:
     by_size = {m: set() for m in range(1, max_n + 1)}
     if max_n >= 1:
         by_size[1] = {pi_perm(0, 1), pi_perm(1, 1)}
-    frontier = []
-    if max_n >= 2:
-        seed = pi_perm(1, 2)
-        by_size[2].add(seed)
-        frontier.append(seed)
-    for m in range(3, max_n + 1):
-        for k in range(1, m):
-            w = pi_perm(k, m)
-            if w not in by_size[m]:
-                by_size[m].add(w)
-                frontier.append(w)
-    total = sum(len(s) for s in by_size.values())
-    while frontier:
-        w = frontier.pop()
-        candidates = [cyclic_rotation(w)]
-        for m in range(2, max_n + 2 - w.n + 1):
-            for other in list(by_size.get(m, ())):
-                candidates.append(amalgamation(w, other))
-                candidates.append(amalgamation(other, w))
-        for c in candidates:
-            if c not in by_size[c.n]:
-                by_size[c.n].add(c)
-                frontier.append(c)
-                total += 1
-                if total > budget:
-                    raise BudgetExceeded(f"closure exceeded {budget} permutations")
-    return by_size
+    frontier = [pi_perm(k, m) for m in range(2, max_n + 1) for k in range(1, m)]
+    for w in frontier:
+        by_size[w.n].add(w)
+    return _close(by_size, frontier, max_n, budget, amalgamation, 2, 2)
 
 
 def enumerate_grass_tree_permutations(n: int, budget: int = 10**6):
@@ -305,19 +282,26 @@ def enumerate_grass_tree_permutations(n: int, budget: int = 10**6):
 
 def grass_forest_permutation_sets(max_n: int, budget: int = 10**6) -> dict:
     """Closure of the tree permutations under direct sum and cyclic rotation."""
-    trees = grass_tree_permutation_sets(max_n, budget)
-    by_size = {m: set(s) for m, s in trees.items()}
+    by_size = grass_tree_permutation_sets(max_n, budget)
     frontier = [w for s in by_size.values() for w in s]
+    return _close(by_size, frontier, max_n, budget, direct_sum, 0, 1)
+
+
+def _close(by_size, frontier, max_n, budget, glue, shrink, smallest):
+    """Close by_size (size -> set, filled in place) under cyclic rotation and
+    glue(w, u), glue(u, w), where glue joins sizes a and b into a + b - shrink
+    and u has at least `smallest` letters; the products that would exceed
+    max_n are never built.  Every permutation in by_size counts toward budget."""
     total = sum(len(s) for s in by_size.values())
     while frontier:
         w = frontier.pop()
         candidates = [cyclic_rotation(w)]
-        for m in range(1, max_n - w.n + 1):
-            for other in list(by_size.get(m, ())):
-                candidates.append(direct_sum(w, other))
-                candidates.append(direct_sum(other, w))
+        for m in range(smallest, max_n + shrink - w.n + 1):
+            for other in by_size[m]:
+                candidates.append(glue(w, other))
+                candidates.append(glue(other, w))
         for c in candidates:
-            if c.n <= max_n and c not in by_size[c.n]:
+            if c not in by_size[c.n]:
                 by_size[c.n].add(c)
                 frontier.append(c)
                 total += 1

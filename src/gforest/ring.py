@@ -24,10 +24,6 @@ _SHIFT = 20
 _MASK = (1 << _SHIFT) - 1
 
 
-class NonExactDivision(ArithmeticError):
-    """Raised when a polynomial division leaves a remainder."""
-
-
 def _norm(c):
     if type(c) is int:
         return c
@@ -106,10 +102,6 @@ class BivarPoly:
 
     def term_map(self) -> dict:
         return {(k >> _SHIFT, k & _MASK): c for k, c in self._t.items()}
-
-    def y_degree(self) -> int:
-        """-1 for the zero polynomial."""
-        return max((k >> _SHIFT for k in self._t), default=-1)
 
     def q_degree(self) -> int:
         return max((k & _MASK for k in self._t), default=-1)
@@ -195,38 +187,6 @@ class BivarPoly:
         if type(c) is int and all(type(v) is int and not v % c for v in t.values()):
             return BivarPoly._raw({k: v // c for k, v in t.items()})
         return self.scale(Fraction(1, 1) / c)
-
-    def divide_exact(self, other: "BivarPoly") -> "BivarPoly":
-        """Exact polynomial division; raises NonExactDivision on remainder.
-
-        Single-divisor reduction in lex order on (dy, dq), which the key
-        packing realises as plain integer comparison.
-        """
-        if not other._t:
-            raise ZeroDivisionError("division of polynomial by zero polynomial")
-        if other.is_one():
-            return self
-        if other.is_constant():
-            return self.divide_scalar(other.constant_coefficient())
-        rem = dict(self._t)
-        quo = {}
-        lead_b = max(other._t)
-        cb = other._t[lead_b]
-        while rem:
-            lead_r = max(rem)
-            shift = lead_r - lead_b
-            if shift < 0 or (lead_r & _MASK) < (lead_b & _MASK):
-                raise NonExactDivision(f"{self!r} is not divisible by {other!r}")
-            c = _norm(Fraction(rem[lead_r]) / cb)
-            quo[shift] = c
-            for k, v in other._t.items():
-                kk = k + shift
-                w = rem.get(kk, 0) - v * c
-                if w:
-                    rem[kk] = w
-                else:
-                    rem.pop(kk, None)
-        return BivarPoly._raw(_clean(quo))
 
     def __pow__(self, e: int):
         if e < 0:

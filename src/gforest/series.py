@@ -12,6 +12,15 @@ inverse) share no code with it, so either can cross-validate it.
 `power_coefficient`, the shared helper behind the Lagrange route, gives
 [x^m] f^e by Miller's recurrence without building any power of f.
 
+Each operation inverts one coefficient, and only a nonzero rational
+constant: the x^0 coefficient of a divisor or of the base of a power
+(else `NonUnitConstantTerm`), the x^1 coefficient of a series inverted
+compositionally (else `NotInvertible`).  The check comes before any
+coefficient is computed, so whether an operation succeeds never depends
+on the values of the other coefficients.  Both reciprocals the generating
+functions need, of the denominator of C and of 1 + G_tree, have x^0
+coefficient 1.
+
 A coefficient that is a sum of products, in a product, a division or an
 inversion, is one `ring.dot` call, so no partial sum is ever built.
 """
@@ -24,7 +33,8 @@ from .ring import ONE, ZERO, BivarPoly, as_poly, dot
 
 
 class NonUnitConstantTerm(ArithmeticError):
-    """A divisor, or the base of a power, has a non-invertible constant term."""
+    """A divisor, or the base of a power, has an x^0 coefficient that is not
+    a nonzero rational constant."""
 
 
 class NonzeroConstantTerm(ArithmeticError):
@@ -33,6 +43,14 @@ class NonzeroConstantTerm(ArithmeticError):
 
 class NotInvertible(ArithmeticError):
     """Series does not satisfy the preconditions for compositional inversion."""
+
+
+def _rational_constant(c: BivarPoly, error, where: str):
+    """The value of c, a coefficient the caller inverts; `error` unless it is
+    a nonzero rational constant."""
+    if not (c and c.is_constant()):
+        raise error(f"{where} coefficient is not a nonzero rational constant")
+    return c.constant_coefficient()
 
 
 class TruncSeries:
@@ -173,21 +191,14 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            inv = Fraction(1, 1) / other
-            return TruncSeries([c * inv for c in self._c], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
+        inv = Fraction(1, 1) / _rational_constant(other._c[0], NonUnitConstantTerm, "x^0")
         n = min(self.order, other.order)
-        b0 = other._c[0]
-        if not b0.constant_coefficient():
-            raise NonUnitConstantTerm(
-                "divisor has zero constant rational coefficient at x^0"
-            )
         a, b = self._c, other._c
         out = []
         for i in range(n + 1):
-            out.append((a[i] - dot(zip(b[1 : i + 1], out[::-1]))).divide_exact(b0))
+            out.append((a[i] - dot(zip(b[1 : i + 1], out[::-1]))).scale(inv))
         return TruncSeries(out, n)
 
     # -- composition and inversion ------------------------------------------
@@ -217,9 +228,7 @@ class TruncSeries:
             raise NotInvertible("series with nonzero constant term has no inverse")
         if n < 1:
             raise NotInvertible("order 0 series cannot be inverted")
-        if not (f[1] and f[1].is_constant()):
-            raise NotInvertible("x^1 coefficient is not a nonzero rational constant")
-        g1 = as_poly(Fraction(1, 1) / f[1].constant_coefficient())
+        g1 = as_poly(Fraction(1, 1) / _rational_constant(f[1], NotInvertible, "x^1"))
         g = [ZERO, g1] + [ZERO] * (n - 1)
         powers = [None, g]  # powers[j][m] = [x^m] g^j, filled for m below the next g_m
         for m in range(2, n + 1):
@@ -250,9 +259,7 @@ def power_coefficient(f: TruncSeries, e, m: int) -> BivarPoly:
     if not 0 <= m <= f.order:
         raise ValueError(f"x^{m} is beyond the series order {f.order}")
     a = f._c
-    if not (a[0] and a[0].is_constant()):
-        raise NonUnitConstantTerm("x^0 coefficient is not a nonzero rational constant")
-    a0 = Fraction(a[0].constant_coefficient())
+    a0 = Fraction(_rational_constant(a[0], NonUnitConstantTerm, "x^0"))
     num, d = e.numerator, e.denominator  # a0^e is the d-th root of b = a0^num
     b, root = a0**num, []
     for n in (abs(b.numerator), b.denominator):  # integer Newton from above
@@ -281,8 +288,8 @@ def lagrange_coefficient(c_series: TruncSeries, n: int, k: int) -> BivarPoly:
         raise ValueError("need n >= k >= 1")
     if c_series.order < n - k + 1:
         raise ValueError("series order too small for the requested coefficient")
-    f0, f1 = c_series._c[:2]
-    if f0 or not (f1 and f1.is_constant()):
-        raise NotInvertible("need a zero x^0 and a nonzero rational x^1 coefficient")
+    if c_series._c[0]:
+        raise NotInvertible("series with nonzero constant term has no inverse")
+    _rational_constant(c_series._c[1], NotInvertible, "x^1")
     base = c_series.shift_down(1).truncate(n - k)
     return power_coefficient(base, -n, n - k).scale(Fraction(k, n))

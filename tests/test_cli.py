@@ -219,6 +219,15 @@ def test_check_rejects_bad_arguments_before_computing(capsys, monkeypatch, flag,
     assert code == EXIT_CONFIG and flag in err and out == ""
 
 
+def test_render_table_rejects_an_unknown_format_before_building(monkeypatch):
+    def never(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(genfun, "series_for", never)
+    with pytest.raises(cli.ConfigError, match="unknown format 'xml'"):
+        cli.render_table(4, 6, genfun.GFKind.GRASS_FOREST, "xml", 14)
+
+
 def test_check_over_the_oracle_budget_is_config_error(capsys):
     code, out, err = run(capsys, "check", "--oracle-max-n", "14")
     assert code == EXIT_CONFIG

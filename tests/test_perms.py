@@ -216,3 +216,8 @@ def test_forest_permutation_closure_equals_trip_permutations(n):
 def test_closure_budget():
     with pytest.raises(BudgetExceeded):
         grass_tree_permutation_sets(7, budget=5)
+    # At n <= 6 the tree closure (238 permutations) fits in 1000; the
+    # forest closure (2357) does not.
+    assert sum(map(len, grass_tree_permutation_sets(6, budget=1000).values())) == 238
+    with pytest.raises(BudgetExceeded):
+        grass_forest_permutation_sets(6, budget=1000)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gforest.ring import ONE, ZERO, BivarPoly, NonExactDivision, Q, Y, dot
+from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot
 
 
 def P(terms):
@@ -133,19 +133,6 @@ def test_dot_collapses_whole_fractions_to_int():
     total = dot([(half, P({(1, 0): 3})), (half, P({(1, 0): 1}))])
     assert total.term_map() == {(1, 1): 2}
     assert type(total.coefficient(1, 1)) is int
-
-
-@given(polys, polys)
-@settings(max_examples=40)
-def test_exact_division_inverts_multiplication(a, b):
-    if b.is_zero():
-        return
-    assert (a * b).divide_exact(b) == a
-
-
-def test_exact_division_failure():
-    with pytest.raises(NonExactDivision):
-        (1 + Y).divide_exact(1 + Q)
 
 
 def test_divide_scalar():

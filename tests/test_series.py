@@ -76,6 +76,11 @@ def test_division_requires_unit_constant():
         S([1, 1]) / TruncSeries.x(1)
     with pytest.raises(NonUnitConstantTerm):
         S([1, 1]) / S([Y, 1])
+    # A non-constant x^0 is refused whatever the dividend, even one it divides.
+    with pytest.raises(NonUnitConstantTerm):
+        (S([1, Q]) * S([1 + Y, 1])) / S([1 + Y, 1])
+    with pytest.raises(NonUnitConstantTerm):
+        S([1, 1]) / S([1 + Y, 1])
 
 
 def test_compose_square_with_x_plus_x_squared():
