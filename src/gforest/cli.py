@@ -3,6 +3,10 @@
 Subcommands: table, coeff, check, euler, relations, perms.  All output is
 UTF-8 and deterministic; CSV uses RFC 4180 quoting.  Exit status: 0 all
 good, 1 mathematical mismatch, 2 configuration error.
+
+A table renders each x^n coefficient after validating it once and
+splitting it by y-degree once; JSON is written directly in the layout of
+`json.dumps(rows, indent=1)`.
 """
 
 from __future__ import annotations
@@ -11,12 +15,12 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import sys
 from importlib import resources
 
 from . import genfun, oracle, perms
 from .genfun import GFKind
+from .ring import ZERO
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -34,8 +38,26 @@ def _table_rows(n_min: int, n_max: int, kind: GFKind):
     series = genfun.series_for(kind, n_max)
     for n in range(n_min, n_max + 1):
         genfun.extract_counts(series, n)
+        parts = series[n].y_parts()
         for k in range(2, n // 2 + 1):
-            yield n, k, series[n].y_coefficient(k)
+            yield n, k, parts.get(k, ZERO)
+
+
+def _json_rows(rows) -> str:
+    """json.dumps([{"n": n, "k": k, "coefficients": poly.to_json_terms()}, ...],
+    indent=1) for the (n, k, poly) rows, written without the json encoder."""
+    if not rows:
+        return "[]"
+    out = []
+    for n, k, poly in rows:
+        terms = [
+            f'   {{\n    "dy": {t["dy"]},\n    "dq": {t["dq"]},\n'
+            f'    "num": {t["num"]},\n    "den": {t["den"]}\n   }}'
+            for t in poly.to_json_terms()
+        ]
+        coefficients = "[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"
+        out.append(f' {{\n  "n": {n},\n  "k": {k},\n  "coefficients": {coefficients}\n }}')
+    return "[\n" + ",\n".join(out) + "\n]"
 
 
 def render_table(n_min: int, n_max: int, kind: GFKind, fmt: str, order: int) -> str:
@@ -60,11 +82,7 @@ def render_table(n_min: int, n_max: int, kind: GFKind, fmt: str, order: int) -> 
             for (dy, dq), c in poly.terms():
                 writer.writerow([n, k, dq, c])
         return buf.getvalue()
-    # json
-    data = [
-        {"n": n, "k": k, "coefficients": poly.to_json_terms()} for n, k, poly in rows
-    ]
-    return json.dumps(data, indent=1) + "\n"
+    return _json_rows(rows) + "\n"
 
 
 def reference_table_text() -> str:

@@ -182,16 +182,18 @@ def forest_gf_via_lagrange(kind: GFKind, n: int, order: int | None = None) -> di
 
 def extract_counts(series: TruncSeries, n: int) -> dict:
     """{(k, r): count} for [x^n], asserting the counting-series sanity rules:
-    integral, nonnegative, and y-degree within [0, n]."""
-    counts = {}
-    for (dy, dq), c in series[n].terms():
-        if isinstance(c, Fraction):
+    integral, nonnegative, and y-degree within [0, n].
+
+    The dict comes in storage order, not in canonical term order.  A
+    canonical coefficient is an int exactly when it is integral."""
+    counts = series[n].term_map()
+    for (dy, dq), c in counts.items():
+        if type(c) is not int:
             raise IntegralityViolation(f"[x^{n} y^{dy} q^{dq}] = {c} is not integral")
         if c < 0:
             raise IntegralityViolation(f"[x^{n} y^{dy} q^{dq}] = {c} is negative")
         if dy > n:
             raise IntegralityViolation(f"y-degree {dy} exceeds n = {n}")
-        counts[(dy, dq)] = c
     return counts
 
 

@@ -232,6 +232,19 @@ class BivarPoly:
             {k & _MASK: c for k, c in self._t.items() if k >> _SHIFT == dy}
         )
 
+    def y_parts(self) -> dict:
+        """{dy: the polynomial in q multiplying y^dy}, split in one pass.
+
+        Only y-degrees that have terms are keys; `y_coefficient(dy)` is
+        `y_parts().get(dy, ZERO)`."""
+        parts = {}
+        for k, c in self._t.items():
+            part = parts.get(k >> _SHIFT)
+            if part is None:
+                parts[k >> _SHIFT] = part = {}
+            part[k & _MASK] = c
+        return {dy: BivarPoly._raw(part) for dy, part in parts.items()}
+
     # -- rendering -------------------------------------------------------
 
     def to_text(self) -> str:
@@ -266,14 +279,9 @@ class BivarPoly:
         return text
 
     def to_json_terms(self) -> list:
-        """Terms as {dy, dq, num, den} dicts in canonical order."""
+        """Terms as {dy, dq, num, den} dicts in canonical order (an int is num/1)."""
         return [
-            {
-                "dy": dy,
-                "dq": dq,
-                "num": c.numerator if isinstance(c, Fraction) else c,
-                "den": c.denominator if isinstance(c, Fraction) else 1,
-            }
+            {"dy": dy, "dq": dq, "num": c.numerator, "den": c.denominator}
             for (dy, dq), c in self.terms()
         ]
 

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from gforest import cli, genfun, oracle
 from gforest.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main, run_checks
+from gforest.ring import ZERO, BivarPoly
 
 ROW_4_2 = "q^4+4q^3+10q^2+12q+6"
 
@@ -96,6 +98,33 @@ def test_table_json_format(capsys):
     rows = json.loads(out)
     assert rows[0]["n"] == 4 and rows[0]["k"] == 2
     assert rows[0]["coefficients"][0] == {"dy": 0, "dq": 4, "num": 1, "den": 1}
+
+
+def _json_dumps_rows(rows):
+    data = [{"n": n, "k": k, "coefficients": poly.to_json_terms()} for n, k, poly in rows]
+    return json.dumps(data, indent=1)
+
+
+@pytest.mark.parametrize("kind", list(genfun.GFKind))
+def test_table_json_is_the_json_dumps_layout(kind):
+    ranges = [(n, n) for n in range(1, 15)] + [(1, 14), (1, 3)]
+    for n_min, n_max in ranges:
+        rows = list(cli._table_rows(n_min, n_max, kind))
+        got = cli.render_table(n_min, n_max, kind, "json", 14)
+        assert got == _json_dumps_rows(rows) + "\n", (n_min, n_max)
+    assert cli.render_table(1, 3, kind, "json", 14) == "[]\n"
+
+
+def test_json_writer_on_hand_made_rows():
+    rows = [
+        (3, 2, ZERO),
+        (4, 2, BivarPoly({(0, 2): -7, (0, 0): 1})),
+        (5, 1, BivarPoly({(1, 3): Fraction(-5, 3), (0, 1): Fraction(1, 2)})),
+    ]
+    for i in range(len(rows)):
+        assert cli._json_rows(rows[i : i + 1]) == _json_dumps_rows(rows[i : i + 1])
+    assert cli._json_rows(rows) == _json_dumps_rows(rows)
+    assert cli._json_rows([]) == _json_dumps_rows([]) == "[]"
 
 
 def test_table_order_guard(capsys):

@@ -255,6 +255,22 @@ def test_extract_counts_rejects_negatives():
         extract_counts(bad, 1)
 
 
+def test_extract_counts_rejects_a_y_degree_above_n():
+    bad = TruncSeries([0, BivarPoly({(2, 0): 1, (1, 0): 1})], 1)
+    with pytest.raises(IntegralityViolation, match="y-degree 2 exceeds n = 1"):
+        extract_counts(bad, 1)
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_extract_counts_equals_the_canonical_term_dict(kind):
+    series = series_for(kind, 12)
+    for n in range(13):
+        canonical = {m: c for m, c in series[n].terms()}
+        counts = extract_counts(series, n)
+        assert counts == canonical, n
+        assert {m: type(c) for m, c in counts.items()} == {m: int for m in canonical}
+
+
 def test_coefficient_poly_examples():
     assert coefficient_poly(GFKind.GRASS_FOREST, 8, 4, 8).to_text() == ROW_8_4
     plabic42 = coefficient_poly(GFKind.PLABIC_FOREST, 4, 2, 6)

@@ -181,6 +181,26 @@ def test_latex_rendering():
     assert row.to_latex() == "q^{12}+4 q^3+6"
 
 
+@given(polys)
+@settings(max_examples=60, deadline=None)
+def test_y_parts_are_the_y_coefficients(a):
+    parts = a.y_parts()
+    degrees = {dy for dy, _ in a.term_map()}
+    assert set(parts) == degrees
+    for dy in degrees:
+        assert typed(parts[dy]) == typed(a.y_coefficient(dy))
+    assert sum((p * Y**dy for dy, p in parts.items()), ZERO) == a
+
+
+def test_y_parts_of_sparse_and_zero_polynomials():
+    assert ZERO.y_parts() == {}
+    p = P({(3, 1): Fraction(1, 2), (3, 0): -2, (0, 4): 5})
+    parts = p.y_parts()
+    assert parts == {3: P({(0, 1): Fraction(1, 2), (0, 0): -2}), 0: P({(0, 4): 5})}
+    assert 1 not in parts and 2 not in parts and 4 not in parts
+    assert p.y_coefficient(2) == ZERO
+
+
 def test_json_terms():
     p = P({(1, 2): Fraction(-3, 2), (0, 0): 4})
     assert p.to_json_terms() == [
