@@ -144,6 +144,19 @@ def cmd_perms(args) -> int:
         raise ConfigError("need --budget-n >= 1")
     if args.family == "separable" and args.n > args.budget_n:
         raise ConfigError(f"separable enumeration capped at n = {args.budget_n}")
+    if args.family != "separable":
+        if args.n > args.order:
+            raise ConfigError(f"n = {args.n} exceeds working order {args.order}")
+        # The closure on m letters holds as many permutations as [x^m] of the
+        # kind's series at y = q = 1: equal at every m measured, m <= 8 and
+        # m = 10 for trees, m = 9 for forests.
+        series = genfun.series_for(GFKind(args.family), args.n)
+        size = sum(c for m in range(1, args.n + 1) for c in series[m].term_map().values())
+        if size > perms.CLOSURE_BUDGET:
+            raise ConfigError(
+                f"the {args.family} closure through n = {args.n} would hold {size} "
+                f"permutations, over the budget of {perms.CLOSURE_BUDGET}"
+            )
     by_descents = args.by == "descents"
     with _output(args.out) as fh:
         if args.family == "separable":

@@ -13,6 +13,11 @@ Lagrange-inversion route (`forest_gf_via_lagrange`) kept for
 cross-validation.  `verify_algebraic_relation` checks the computed
 series against transcribed polynomial relations stored in data/.
 
+Every coefficient is an integer throughout: the two reciprocals, of the
+denominator of C and of 1 + G_tree, invert x^0 coefficients of 1, the
+Lagrange route's division by n + 1 is checked exact, and the relation
+loader refuses a transcribed term that is not an integer.
+
 Truncated coefficients never change as a series grows, so both caches
 here only grow: `series_for` keeps the longest series of each kind, and
 the relation check keeps, per kind, the residual coefficients and the
@@ -27,7 +32,6 @@ import json
 import os
 import threading
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
@@ -39,7 +43,8 @@ DEFAULT_ORDER = 14
 
 
 class IntegralityViolation(ArithmeticError):
-    """A coefficient that must be a (nonnegative) integer is not."""
+    """A coefficient is not a count: negative, of too high a y-degree, or
+    not divisible where the Lagrange route divides."""
 
 
 class GFKind(Enum):
@@ -171,25 +176,24 @@ def forest_gf_via_lagrange(kind: GFKind, n: int, order: int | None = None) -> di
         raise ValueError("order too small for the requested coefficient")
     counts = {}
     for (dy, dq), c in _tree_power(kind.tree_kind, n).terms():
-        v = Fraction(c, n + 1)
-        if v.denominator != 1:
+        count, rest = divmod(c, n + 1)
+        if rest:
             raise IntegralityViolation(
-                f"[x^{n} y^{dy} q^{dq}] division by {n + 1} left {v}"
+                f"[x^{n} y^{dy} q^{dq}] division by {n + 1} left remainder {rest}"
             )
-        counts[(dy, dq)] = v.numerator
+        counts[(dy, dq)] = count
     return counts
 
 
 def extract_counts(series: TruncSeries, n: int) -> dict:
     """{(k, r): count} for [x^n], asserting the counting-series sanity rules:
-    integral, nonnegative, and y-degree within [0, n].
+    nonnegative, and y-degree within [0, n].
 
-    The dict comes in storage order, not in canonical term order.  A
-    canonical coefficient is an int exactly when it is integral."""
+    The dict comes in storage order, not in canonical term order.  Every
+    coefficient is an integer already: the ring refuses a non-integer at
+    construction and at every division."""
     counts = series[n].term_map()
     for (dy, dq), c in counts.items():
-        if type(c) is not int:
-            raise IntegralityViolation(f"[x^{n} y^{dy} q^{dq}] = {c} is not integral")
         if c < 0:
             raise IntegralityViolation(f"[x^{n} y^{dy} q^{dq}] = {c} is negative")
         if dy > n:
@@ -247,9 +251,12 @@ class _RelationState:
     def __init__(self, kind: GFKind):
         table = relation_table(kind)
         grouped = {}  # (j, dx) -> {(dy, dq): coefficient}
-        for j, dx, dy, dq, num, den in table["terms"]:
+        for term in table["terms"]:
+            j, dx, dy, dq, num, den = term
+            if den != 1:
+                raise ValueError(f"{kind.value} relation term {term} is not an integer")
             terms = grouped.setdefault((j, dx), {})
-            terms[dy, dq] = terms.get((dy, dq), 0) + Fraction(num, den)
+            terms[dy, dq] = terms.get((dy, dq), 0) + num
         self.coeffs = [(j, dx, BivarPoly(terms)) for (j, dx), terms in grouped.items()]
         self.degree = table["degree"]
         self.powers = [[] for _ in range(self.degree - 2)]  # [x^m] S^j at [j - 2][m]

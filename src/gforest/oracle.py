@@ -527,8 +527,8 @@ def _dec_to_json(dec):
 
 
 def forest_to_json(G) -> dict:
-    """JSON-friendly rendering of a decorated forest (one object per line
-    when dumped for external auditing)."""
+    """JSON-friendly rendering of a decorated forest; `check` names a
+    forest that fails by it."""
     return {
         "n": sum(len(block) for block, _ in G),
         "helicity": helicity(G),
@@ -537,14 +537,3 @@ def forest_to_json(G) -> dict:
             {"block": list(block), "tree": _dec_to_json(dec)} for block, dec in G
         ],
     }
-
-
-def write_json_lines(fh, forests) -> int:
-    """Dump decorated forests one JSON object per line; returns the count."""
-    import json
-
-    count = 0
-    for G in forests:
-        fh.write(json.dumps(forest_to_json(G), separators=(",", ":")) + "\n")
-        count += 1
-    return count

@@ -17,6 +17,10 @@ from itertools import combinations, permutations as all_permutations
 from .oracle import WHITE, BLACK, BudgetExceeded
 
 
+# The most permutations a closure may hold over all its sizes.
+CLOSURE_BUDGET = 10**6
+
+
 class SizeTooSmall(ValueError):
     """Amalgamation needs both operands on at least two letters."""
 
@@ -261,7 +265,7 @@ def enumerate_separable(n: int, by_descents: bool = True, budget: int = 10) -> d
 # -- closures ------------------------------------------------------------------------
 
 
-def grass_tree_permutation_sets(max_n: int, budget: int = 10**6) -> dict:
+def grass_tree_permutation_sets(max_n: int, budget: int = CLOSURE_BUDGET) -> dict:
     """Permutations of trees on 1..max_n letters, built by closing the
     single-vertex permutations under amalgamation and cyclic rotation."""
     by_size = {m: set() for m in range(1, max_n + 1)}
@@ -273,14 +277,14 @@ def grass_tree_permutation_sets(max_n: int, budget: int = 10**6) -> dict:
     return _close(by_size, frontier, max_n, budget, amalgamation, 2, 2)
 
 
-def enumerate_grass_tree_permutations(n: int, budget: int = 10**6):
+def enumerate_grass_tree_permutations(n: int, budget: int = CLOSURE_BUDGET):
     """All permutations on n letters arising from trees, deduplicated."""
     yield from sorted(
         grass_tree_permutation_sets(n, budget)[n], key=lambda w: (w.images, w.decorations)
     )
 
 
-def grass_forest_permutation_sets(max_n: int, budget: int = 10**6) -> dict:
+def grass_forest_permutation_sets(max_n: int, budget: int = CLOSURE_BUDGET) -> dict:
     """Closure of the tree permutations under direct sum and cyclic rotation."""
     by_size = grass_tree_permutation_sets(max_n, budget)
     frontier = [w for s in by_size.values() for w in s]
@@ -310,7 +314,7 @@ def _close(by_size, frontier, max_n, budget, glue, shrink, smallest):
     return by_size
 
 
-def enumerate_grass_forest_permutations(n: int, budget: int = 10**6):
+def enumerate_grass_forest_permutations(n: int, budget: int = CLOSURE_BUDGET):
     yield from sorted(
         grass_forest_permutation_sets(n, budget)[n],
         key=lambda w: (w.images, w.decorations),

@@ -1,9 +1,11 @@
 """Exact sparse polynomials in the two formal variables y and q.
 
-y marks helicity and q marks dimension.  Coefficients are exact rationals:
-plain Python ints wherever the value is integral, ``fractions.Fraction``
-otherwise.  Whole-number Fractions are collapsed to ints on the way in, so
-purely integral pipelines (the common case) never pay Fraction overhead.
+y marks helicity and q marks dimension.  Coefficients are Python ints and
+nothing else: every coefficient of the generating functions is a count,
+and the series layer inverts only 1 and -1.  The constructor, `constant`,
+the arithmetic and the substitutions refuse any other number with
+`TypeError` before storing anything, and `divide_scalar` divides exactly
+or raises `ArithmeticError`, so no operation can make a non-integer.
 
 A polynomial is stored as a dict from packed exponents to nonzero
 coefficients.  The packing ``(dy << _SHIFT) | dq`` turns exponent addition
@@ -18,31 +20,19 @@ polynomials and are safe to use concurrently.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 _SHIFT = 20
 _MASK = (1 << _SHIFT) - 1
 
 
-def _norm(c):
-    if type(c) is int:
-        return c
-    if c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _clean(raw: dict) -> dict:
-    """Drop zeros and collapse whole-number Fractions (canonical form)."""
-    out = {}
-    for k, c in raw.items():
-        if c:
-            out[k] = c if type(c) is int else _norm(c)
-    return out
+def _int(c) -> int:
+    """c as a plain int; TypeError for any other number."""
+    if not isinstance(c, int):
+        raise TypeError(f"coefficient {c!r} is not an int")
+    return int(c)
 
 
 class BivarPoly:
-    """Immutable sparse polynomial in y and q with exact rational coefficients."""
+    """Immutable sparse polynomial in y and q with int coefficients."""
 
     __slots__ = ("_t",)
 
@@ -50,12 +40,13 @@ class BivarPoly:
         t = {}
         if terms:
             for (dy, dq), c in terms.items():
+                c = _int(c)
                 if dy < 0 or dq < 0:
                     raise ValueError(f"negative exponent ({dy}, {dq})")
                 if dq > _MASK or dy > _MASK:
                     raise ValueError(f"exponent too large ({dy}, {dq})")
                 if c:
-                    t[(dy << _SHIFT) | dq] = _norm(c + 0)
+                    t[(dy << _SHIFT) | dq] = c
         self._t = t
 
     @classmethod
@@ -67,7 +58,7 @@ class BivarPoly:
 
     @classmethod
     def constant(cls, c) -> "BivarPoly":
-        c = _norm(c + 0)
+        c = _int(c)
         return cls._raw({0: c} if c else {})
 
     @classmethod
@@ -114,8 +105,8 @@ class BivarPoly:
     def __eq__(self, other):
         if isinstance(other, BivarPoly):
             return self._t == other._t
-        if isinstance(other, (int, Fraction)):
-            return self._t == ({0: _norm(other + 0)} if other else {})
+        if isinstance(other, int):
+            return self._t == ({0: other} if other else {})
         return NotImplemented
 
     __hash__ = None
@@ -124,7 +115,7 @@ class BivarPoly:
         return BivarPoly._raw({k: -c for k, c in self._t.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = BivarPoly.constant(other)
         elif not isinstance(other, BivarPoly):
             return NotImplemented
@@ -136,7 +127,7 @@ class BivarPoly:
         for k, c in other._t.items():
             v = out.get(k, 0) + c
             if v:
-                out[k] = _norm(v)
+                out[k] = v
             else:
                 del out[k]
         return BivarPoly._raw(out)
@@ -150,7 +141,7 @@ class BivarPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
@@ -163,30 +154,29 @@ class BivarPoly:
             ((ka, ca),) = a.items()
             if ka == 0 and ca == 1:
                 return BivarPoly._raw(dict(b))
-            return BivarPoly._raw(_clean({k + ka: c * ca for k, c in b.items()}))
+            return BivarPoly._raw({k + ka: c * ca for k, c in b.items()})
         return dot(((self, other),))
 
     __rmul__ = __mul__
 
     def scale(self, c):
+        c = _int(c)
         if not c:
             return _ZERO
         if c == 1:
             return self
-        return BivarPoly._raw(_clean({k: v * c for k, v in self._t.items()}))
+        return BivarPoly._raw({k: v * c for k, v in self._t.items()})
 
     def divide_scalar(self, c):
-        """Exact division by a nonzero rational.
-
-        An integer that divides every coefficient, all of them integers,
-        divides them by `//`, so no Fraction is made."""
+        """Exact division by a nonzero int c that divides every coefficient;
+        `ArithmeticError` if c leaves a remainder."""
+        c = _int(c)
         if not c:
             raise ZeroDivisionError("division of polynomial by zero")
-        c = _norm(c)
         t = self._t
-        if type(c) is int and all(type(v) is int and not v % c for v in t.values()):
-            return BivarPoly._raw({k: v // c for k, v in t.items()})
-        return self.scale(Fraction(1, 1) / c)
+        if any(v % c for v in t.values()):
+            raise ArithmeticError(f"{c} does not divide every coefficient of {self.to_text()}")
+        return BivarPoly._raw({k: v // c for k, v in t.items()})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -203,7 +193,8 @@ class BivarPoly:
     # -- evaluation ------------------------------------------------------
 
     def eval_q(self, v) -> "BivarPoly":
-        """Substitute q := v, leaving a polynomial in y alone."""
+        """Substitute the int q := v, leaving a polynomial in y alone."""
+        v = _int(v)
         out = {}
         for k, c in self._t.items():
             dy, dq = k >> _SHIFT, k & _MASK
@@ -212,10 +203,11 @@ class BivarPoly:
                 out[dy << _SHIFT] = w
             else:
                 out.pop(dy << _SHIFT, None)
-        return BivarPoly._raw(_clean(out))
+        return BivarPoly._raw(out)
 
     def eval_y(self, v) -> "BivarPoly":
-        """Substitute y := v, leaving a polynomial in q alone."""
+        """Substitute the int y := v, leaving a polynomial in q alone."""
+        v = _int(v)
         out = {}
         for k, c in self._t.items():
             dy, dq = k >> _SHIFT, k & _MASK
@@ -224,7 +216,7 @@ class BivarPoly:
                 out[dq] = w
             else:
                 out.pop(dq, None)
-        return BivarPoly._raw(_clean(out))
+        return BivarPoly._raw(out)
 
     def y_coefficient(self, dy: int) -> "BivarPoly":
         """The polynomial in q multiplying y^dy."""
@@ -279,11 +271,8 @@ class BivarPoly:
         return text
 
     def to_json_terms(self) -> list:
-        """Terms as {dy, dq, num, den} dicts in canonical order (an int is num/1)."""
-        return [
-            {"dy": dy, "dq": dq, "num": c.numerator, "den": c.denominator}
-            for (dy, dq), c in self.terms()
-        ]
+        """Terms as {dy, dq, num, den} dicts in canonical order; den is always 1."""
+        return [{"dy": dy, "dq": dq, "num": c, "den": 1} for (dy, dq), c in self.terms()]
 
     def __repr__(self):
         return f"BivarPoly({self.to_text()})"
@@ -309,11 +298,11 @@ def dot(pairs) -> BivarPoly:
                 k = ka + kb
                 v = get(k)
                 out[k] = ca * cb if v is None else v + ca * cb
-    return BivarPoly._raw(_clean(out))
+    return BivarPoly._raw({k: c for k, c in out.items() if c})
 
 
 def as_poly(value) -> BivarPoly:
-    """Lift ints and Fractions to constant polynomials; pass polynomials through."""
+    """Lift ints to constant polynomials; pass polynomials through."""
     if isinstance(value, BivarPoly):
         return value
     return BivarPoly.constant(value)

@@ -12,14 +12,15 @@ inverse) share no code with it, so either can cross-validate it.
 `power_coefficient`, the shared helper behind the Lagrange route, gives
 [x^m] f^e by Miller's recurrence without building any power of f.
 
-Each operation inverts one coefficient, and only a nonzero rational
-constant: the x^0 coefficient of a divisor or of the base of a power
-(else `NonUnitConstantTerm`), the x^1 coefficient of a series inverted
+Coefficients are `BivarPoly`s over the integers, and each operation
+inverts one coefficient, which must be 1 or -1, its own inverse: the x^0
+coefficient of a divisor or of the base of a power (else
+`NonUnitConstantTerm`), the x^1 coefficient of a series inverted
 compositionally (else `NotInvertible`).  The check comes before any
 coefficient is computed, so whether an operation succeeds never depends
-on the values of the other coefficients.  Both reciprocals the generating
-functions need, of the denominator of C and of 1 + G_tree, have x^0
-coefficient 1.
+on the values of the other coefficients, and every result has integer
+coefficients.  Both reciprocals the generating functions need, of the
+denominator of C and of 1 + G_tree, have x^0 coefficient 1.
 
 A coefficient that is a sum of products, in a product, a division or an
 inversion, is one `ring.dot` call, so no partial sum is ever built.
@@ -27,14 +28,12 @@ inversion, is one `ring.dot` call, so no partial sum is ever built.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ring import ONE, ZERO, BivarPoly, as_poly, dot
 
 
 class NonUnitConstantTerm(ArithmeticError):
     """A divisor, or the base of a power, has an x^0 coefficient that is not
-    a nonzero rational constant."""
+    1 or -1."""
 
 
 class NonzeroConstantTerm(ArithmeticError):
@@ -45,12 +44,13 @@ class NotInvertible(ArithmeticError):
     """Series does not satisfy the preconditions for compositional inversion."""
 
 
-def _rational_constant(c: BivarPoly, error, where: str):
+def _unit(c: BivarPoly, error, where: str) -> int:
     """The value of c, a coefficient the caller inverts; `error` unless it is
-    a nonzero rational constant."""
-    if not (c and c.is_constant()):
-        raise error(f"{where} coefficient is not a nonzero rational constant")
-    return c.constant_coefficient()
+    1 or -1, so that its inverse is itself."""
+    u = c.constant_coefficient()
+    if not (c.is_constant() and u in (1, -1)):
+        raise error(f"{where} coefficient is not 1 or -1")
+    return u
 
 
 class TruncSeries:
@@ -159,7 +159,7 @@ class TruncSeries:
         return TruncSeries([-c for c in self._c], self.order)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, BivarPoly)):
+        if isinstance(other, (int, BivarPoly)):
             out = list(self._c)
             out[0] = out[0] + other
             return TruncSeries(out, self.order)
@@ -171,7 +171,7 @@ class TruncSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, BivarPoly)):
+        if isinstance(other, (int, BivarPoly)):
             return self + (-as_poly(other))
         return self + (-other)
 
@@ -179,7 +179,7 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, BivarPoly)):
+        if isinstance(other, (int, BivarPoly)):
             other = as_poly(other)
             return TruncSeries([c * other for c in self._c], self.order)
         if not isinstance(other, TruncSeries):
@@ -193,12 +193,12 @@ class TruncSeries:
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        inv = Fraction(1, 1) / _rational_constant(other._c[0], NonUnitConstantTerm, "x^0")
+        u = _unit(other._c[0], NonUnitConstantTerm, "x^0")
         n = min(self.order, other.order)
         a, b = self._c, other._c
         out = []
         for i in range(n + 1):
-            out.append((a[i] - dot(zip(b[1 : i + 1], out[::-1]))).scale(inv))
+            out.append((a[i] - dot(zip(b[1 : i + 1], out[::-1]))).scale(u))
         return TruncSeries(out, n)
 
     # -- composition and inversion ------------------------------------------
@@ -217,9 +217,9 @@ class TruncSeries:
     def reversion(self) -> "TruncSeries":
         """Compositional inverse g with self(g) = g(self) = x up to the order.
 
-        Requires a zero constant term and a nonzero rational constant u as
-        the x^1 coefficient.  Then g_1 = 1/u and, for m >= 2,
-            g_m = -(1/u) sum_{j=2..m} f_j [x^m] g^j,
+        Requires a zero constant term and u = 1 or -1 as the x^1
+        coefficient.  Then g_1 = 1/u = u and, for m >= 2,
+            g_m = -u sum_{j=2..m} f_j [x^m] g^j,
         where [x^m] g^j = sum_{i>=1} g_i [x^(m-i)] g^(j-1) needs only
         g_1 .. g_(m-1).
         """
@@ -228,7 +228,7 @@ class TruncSeries:
             raise NotInvertible("series with nonzero constant term has no inverse")
         if n < 1:
             raise NotInvertible("order 0 series cannot be inverted")
-        g1 = as_poly(Fraction(1, 1) / _rational_constant(f[1], NotInvertible, "x^1"))
+        g1 = as_poly(_unit(f[1], NotInvertible, "x^1"))
         g = [ZERO, g1] + [ZERO] * (n - 1)
         powers = [None, g]  # powers[j][m] = [x^m] g^j, filled for m below the next g_m
         for m in range(2, n + 1):
@@ -250,27 +250,20 @@ class TruncSeries:
         return self.map_coefficients(lambda c: c.eval_y(v))
 
 
-def power_coefficient(f: TruncSeries, e, m: int) -> BivarPoly:
-    """[x^m] f^e for an int or Fraction e, by J.C.P. Miller's recurrence.
+def power_coefficient(f: TruncSeries, e: int, m: int) -> BivarPoly:
+    """[x^m] f^e for an int e, by J.C.P. Miller's recurrence.
 
-    f's x^0 coefficient must be a nonzero rational a0, and a0^e rational.
-    From p_0 = a0^e, each p_j = (1/(j a0)) sum_{k=1..j} ((e+1)k - j) a_k p_(j-k)
-    is one `dot`, so no power of f is built (Knuth, TAOCP Vol. 2, 4.7)."""
+    f's x^0 coefficient a0 must be 1 or -1.  From p_0 = a0^e, each
+    p_j = (1/(j a0)) sum_{k=1..j} ((e+1)k - j) a_k p_(j-k) is one `dot`
+    and an exact division, so no power of f is built (Knuth, TAOCP Vol. 2,
+    4.7)."""
+    if not isinstance(e, int):
+        raise TypeError(f"the exponent {e!r} is not an int")
     if not 0 <= m <= f.order:
         raise ValueError(f"x^{m} is beyond the series order {f.order}")
     a = f._c
-    a0 = Fraction(_rational_constant(a[0], NonUnitConstantTerm, "x^0"))
-    num, d = e.numerator, e.denominator  # a0^e is the d-th root of b = a0^num
-    b, root = a0**num, []
-    for n in (abs(b.numerator), b.denominator):  # integer Newton from above
-        r = 1 << -(-n.bit_length() // d)
-        while r**d > n:
-            r = ((d - 1) * r + n // r ** (d - 1)) // d
-        root.append(r)
-    p0 = Fraction(*root) * (1 if b > 0 else -1)
-    if p0**d != b:
-        raise ValueError(f"{a0}^{e} is not rational")
-    p = [as_poly(p0)]
+    a0 = _unit(a[0], NonUnitConstantTerm, "x^0")
+    p = [as_poly(a0 if e % 2 else 1)]  # a0^e; (-1) ** e is a float for e < 0
     for j in range(1, m + 1):
         s = dot((a[k].scale((e + 1) * k - j), p[j - k]) for k in range(1, j + 1))
         p.append(s.divide_scalar(j * a0))
@@ -282,7 +275,7 @@ def lagrange_coefficient(c_series: TruncSeries, n: int, k: int) -> BivarPoly:
 
     Computed as (k/n) [x^(n-k)] (x / c_series)^n by `power_coefficient`,
     never constructing the inverse itself.  Like `reversion`, needs a zero
-    constant term and a nonzero rational constant as the x^1 coefficient.
+    constant term and 1 or -1 as the x^1 coefficient.
     """
     if not (n >= k >= 1):
         raise ValueError("need n >= k >= 1")
@@ -290,6 +283,6 @@ def lagrange_coefficient(c_series: TruncSeries, n: int, k: int) -> BivarPoly:
         raise ValueError("series order too small for the requested coefficient")
     if c_series._c[0]:
         raise NotInvertible("series with nonzero constant term has no inverse")
-    _rational_constant(c_series._c[1], NotInvertible, "x^1")
+    _unit(c_series._c[1], NotInvertible, "x^1")
     base = c_series.shift_down(1).truncate(n - k)
-    return power_coefficient(base, -n, n - k).scale(Fraction(k, n))
+    return power_coefficient(base, -n, n - k).scale(k).divide_scalar(n)

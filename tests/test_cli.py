@@ -1,5 +1,5 @@
+import hashlib
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -119,12 +119,52 @@ def test_json_writer_on_hand_made_rows():
     rows = [
         (3, 2, ZERO),
         (4, 2, BivarPoly({(0, 2): -7, (0, 0): 1})),
-        (5, 1, BivarPoly({(1, 3): Fraction(-5, 3), (0, 1): Fraction(1, 2)})),
+        (5, 1, BivarPoly({(1, 3): -5, (0, 1): 3**50})),
     ]
     for i in range(len(rows)):
         assert cli._json_rows(rows[i : i + 1]) == _json_dumps_rows(rows[i : i + 1])
     assert cli._json_rows(rows) == _json_dumps_rows(rows)
     assert cli._json_rows([]) == _json_dumps_rows([]) == "[]"
+
+
+TABLE_SHA256 = {
+    ("grass-forest", "text"): "d1d1d1219e9917d289c8a2c9302f17d8b39d9c41731ed57e716a94d241a985eb",
+    ("grass-forest", "csv"): "e783bdf55531b28a686ec065e93c5bf65d87cb4119d801d7328cff70fb92b5e0",
+    ("grass-forest", "json"): "19c3c5c439a00cd5e36fc136473d0220bea792f294020e5948bcd3939259fc9e",
+    ("grass-forest", "latex-table"): "1a0f7321a04299397a9a9e0743ea51c64c39b66db5bc87d35161485dbfda413c",
+    ("grass-tree", "text"): "b4312f34ce21a33617dca1d557851a34dda57ed443f7222e3e546ad0301fa593",
+    ("grass-tree", "csv"): "b0c35918377b1e4b2c10150272b6d37272dc656d31ae8bcddf8c1902bd7c812a",
+    ("grass-tree", "json"): "6bbee1b64e365d1f1f4e46bda9917429fee0851f7eb9a02c99b62bd57c5775b6",
+    ("grass-tree", "latex-table"): "009445807a17c0eaefb0efd56fc810b16ab1d0844eefe4d06d0cc54b484782f3",
+    ("plabic-forest", "text"): "e3aba0caf0a4342d628e08bcfb5c7530c15640e13d95f0a692600a56be715b4c",
+    ("plabic-forest", "csv"): "d6755e46e78306c4998cc239cb924b1b4b00cffdc9f56684f4711366c344cf8a",
+    ("plabic-forest", "json"): "5dbfeb8c3e1437fd3d9b7a701c544ed2f763efa1abb8ecda478bb52b6e1105bb",
+    ("plabic-forest", "latex-table"): "44eb4d06be87c90d8a678334d74ad20db9f96b957a7db3738ce015f0c29fdd8b",
+    ("plabic-tree", "text"): "2771555a21df3477025a3bb965f64ca60ed551426f4b10b9c9768d8fc0ebedc1",
+    ("plabic-tree", "csv"): "1e7b597ef84561377332a4087a94bc5c41a3946640ec2ce0c3639c48e19f6bff",
+    ("plabic-tree", "json"): "1ffb56f04fb92770bf03b4acbf0157ae9fe5cf59630534ec57a614384866fe36",
+    ("plabic-tree", "latex-table"): "6aac6319174a475f7be795f7b5cb8c140b9e9a6151ae4f482c1306b7fd55d217",
+}
+CHECK_SHA256 = "ebe86f89e26ddb40a2c11332db33fd79aa3903db9b59720db4a5c92e673971aa"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_tables_to_x14_are_pinned():
+    got = {
+        (kind.value, fmt): _sha256(cli.render_table(1, 14, kind, fmt, 14))
+        for kind in genfun.GFKind
+        for fmt in cli.FORMATS
+    }
+    assert got == TABLE_SHA256
+
+
+def test_check_output_at_the_defaults_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("GFOREST_ORDER", raising=False)
+    code, out, _ = run(capsys, "check")
+    assert code == EXIT_OK and _sha256(out) == CHECK_SHA256
 
 
 def test_table_order_guard(capsys):
@@ -191,6 +231,29 @@ def test_perms_over_budget_n_leaves_the_out_file_alone(capsys, tmp_path):
     code, out, err = run(capsys, "perms", "--family", "separable", "--n", "11", "--out", str(path))
     assert code == EXIT_CONFIG and "capped at n = 10" in err and out == ""
     assert path.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize(
+    "family, n, size",
+    [("grass-tree", "11", 2662953), ("grass-forest", "10", 7366079), ("grass-forest", "15", None)],
+)
+def test_perms_refuses_an_oversized_closure_before_it_starts(
+    capsys, monkeypatch, tmp_path, family, n, size
+):
+    def never(*args, **kwargs):
+        raise AssertionError("a closure was started")
+
+    monkeypatch.setattr(cli.perms, "enumerate_grass_tree_permutations", never)
+    monkeypatch.setattr(cli.perms, "enumerate_grass_forest_permutations", never)
+    path = tmp_path / "perms.txt"
+    path.write_bytes(b"kept\n")
+    code, out, err = run(capsys, "perms", "--family", family, "--n", n, "--out", str(path))
+    assert code == EXIT_CONFIG and out == "" and err.startswith("error: ")
+    assert path.read_bytes() == b"kept\n"
+    if size is None:
+        assert "exceeds working order 14" in err
+    else:
+        assert f"would hold {size} permutations, over the budget of 1000000" in err
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

@@ -4,7 +4,6 @@ import math
 import random
 import sys
 import threading
-from fractions import Fraction
 
 import pytest
 
@@ -219,7 +218,8 @@ def _residual_term_by_term(kind, series):
         powers.append(powers[-1] * series)
     residual = TruncSeries.zero(series.order)
     for j, dx, dy, dq, num, den in table["terms"]:
-        coeff = BivarPoly.monomial(Fraction(num, den), dy, dq)
+        assert den == 1
+        coeff = BivarPoly.monomial(num, dy, dq)
         residual = residual + (powers[j] * coeff).shift_up(dx).truncate(series.order)
     return residual
 
@@ -240,13 +240,23 @@ def test_relation_detects_perturbation():
         assert residual.valuation() is not None
 
 
+def test_relation_loader_refuses_a_term_that_is_not_an_integer(monkeypatch):
+    data = {kind: dict(table) for kind, table in genfun._relations().items()}
+    table = data[GFKind.GRASS_TREE.value]
+    table["terms"] = [*table["terms"], [1, 2, 0, 1, 3, 2]]
+    monkeypatch.setattr(genfun, "_relations", lambda: data)
+    with pytest.raises(ValueError, match=r"grass-tree relation term \[1, 2, 0, 1, 3, 2\]"):
+        relation_residual(GFKind.GRASS_TREE, series_for(GFKind.GRASS_TREE, 6))
+
+
+def test_lagrange_route_refuses_an_inexact_division(monkeypatch):
+    # [x^4] (1 + G)^5 must be divisible by 5; 7 y q is not.
+    monkeypatch.setattr(genfun, "_tree_power", lambda kind, n: BivarPoly({(1, 1): 7, (0, 0): 5}))
+    with pytest.raises(IntegralityViolation, match=r"\[x\^4 y\^1 q\^1\] division by 5"):
+        forest_gf_via_lagrange(GFKind.GRASS_FOREST, 4)
+
+
 # -- extraction guards ----------------------------------------------------------------
-
-
-def test_extract_counts_rejects_fractions():
-    bad = TruncSeries([0, BivarPoly({(0, 0): Fraction(1, 2)})], 1)
-    with pytest.raises(IntegralityViolation):
-        extract_counts(bad, 1)
 
 
 def test_extract_counts_rejects_negatives():

@@ -1,7 +1,5 @@
 """Definition-level checks of the enumeration machinery."""
 
-import io
-import json
 import random
 from collections import Counter
 
@@ -27,7 +25,6 @@ from gforest.oracle import (
     mom_dimension,
     schroeder_trees,
     tree_helicity,
-    write_json_lines,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -312,16 +309,3 @@ def test_forest_json_round_trip_fields():
     assert doc["dimension"] == mom_dimension(G)
     assert doc["components"][0]["tree"] == [2, None, None]
     assert doc["components"][1] == {"block": [4], "tree": 1}
-
-
-def test_write_json_lines():
-    forests = [
-        G
-        for F in enumerate_forests(3)
-        for G in decorate_grassmannian(F, contracted_only=True)
-    ]
-    buf = io.StringIO()
-    count = write_json_lines(buf, forests)
-    lines = buf.getvalue().splitlines()
-    assert count == len(forests) == len(lines)
-    assert all(json.loads(line)["n"] == 3 for line in lines)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from gforest.genfun import GFKind, build_tree_gf, extract_counts
+from gforest.genfun import GFKind, build_tree_gf, extract_counts, series_for
 from gforest.oracle import (
     BudgetExceeded,
     contract_move,
@@ -221,3 +221,17 @@ def test_closure_budget():
     assert sum(map(len, grass_tree_permutation_sets(6, budget=1000).values())) == 238
     with pytest.raises(BudgetExceeded):
         grass_forest_permutation_sets(6, budget=1000)
+
+
+@pytest.mark.parametrize(
+    "kind, closure",
+    [
+        (GFKind.GRASS_TREE, grass_tree_permutation_sets),
+        (GFKind.GRASS_FOREST, grass_forest_permutation_sets),
+    ],
+)
+def test_closure_sizes_are_the_series_coefficients_at_y_q_one(kind, closure):
+    sets = closure(6)
+    series = series_for(kind, 6)
+    for n in range(1, 7):
+        assert len(sets[n]) == series[n].eval_q(1).eval_y(1).constant_coefficient(), n

@@ -11,10 +11,7 @@ def P(terms):
     return BivarPoly(terms)
 
 
-coeffs = st.one_of(
-    st.integers(min_value=-9, max_value=9),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
-)
+coeffs = st.one_of(st.integers(min_value=-9, max_value=9), st.integers(-(2**70), 2**70))
 polys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 5)), coeffs, max_size=6
 ).map(BivarPoly)
@@ -42,7 +39,7 @@ def test_product_of_binomials():
 
 
 def test_multiplicative_identity():
-    p = P({(3, 2): -5, (0, 1): Fraction(1, 2)})
+    p = P({(3, 2): -5, (0, 1): 7})
     assert p * ONE == p
 
 
@@ -104,7 +101,8 @@ def test_power_matches_repeated_product(a, e):
 
 
 def typed(p):
-    """The terms with each coefficient's type, so that 3 and Fraction(3) differ."""
+    """The terms with each coefficient's type, so that a coefficient that is
+    not a plain int shows."""
     return {m: (c, type(c)) for m, c in p.term_map().items()}
 
 
@@ -128,39 +126,54 @@ def test_dot_stores_no_cancelled_term():
     assert dot([(1 + Y, 1 - Y), (Y, Y)]).term_map() == {(0, 0): 1}
 
 
-def test_dot_collapses_whole_fractions_to_int():
-    half = P({(0, 1): Fraction(1, 2)})
-    total = dot([(half, P({(1, 0): 3})), (half, P({(1, 0): 1}))])
-    assert total.term_map() == {(1, 1): 2}
-    assert type(total.coefficient(1, 1)) is int
-
-
 def test_divide_scalar():
     p = P({(0, 1): 3})
-    assert p.divide_scalar(2) == P({(0, 1): Fraction(3, 2)})
+    with pytest.raises(ArithmeticError):
+        p.divide_scalar(2)
     assert p.divide_scalar(3) == P({(0, 1): 1})
+    assert p.divide_scalar(-3) == P({(0, 1): -1})
+    with pytest.raises(ZeroDivisionError):
+        p.divide_scalar(0)
 
 
 int_polys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 5)), st.integers(-30, 30), max_size=6
 ).map(BivarPoly)
-divisors = st.one_of(
-    st.integers(-12, 12), st.fractions(min_value=-4, max_value=4, max_denominator=6)
-).filter(bool)
 
 
-@given(st.one_of(int_polys, polys), divisors, st.booleans())
+@given(st.one_of(int_polys, polys), st.integers(-12, 12).filter(bool), st.booleans())
 @settings(max_examples=120)
 def test_divide_scalar_is_scaling_by_the_inverse(a, c, divisible):
     if divisible:
         a = a.scale(c)  # every coefficient a multiple of c
-    assert typed(a.divide_scalar(c)) == typed(a.scale(Fraction(1, c)))
+    if any(v % c for v in a.term_map().values()):
+        with pytest.raises(ArithmeticError):
+            a.divide_scalar(c)
+    else:
+        assert typed(a.divide_scalar(c)) == typed(P({m: v // c for m, v in a.term_map().items()}))
+        assert a.divide_scalar(c).scale(c) == a
 
 
-def test_whole_fractions_collapse_to_int():
-    p = P({(0, 0): Fraction(6, 2)})
-    assert p.term_map() == {(0, 0): 3}
-    assert type(p.constant_coefficient()) is int
+def test_ring_refuses_fractions():
+    half = Fraction(1, 2)
+    for make in (
+        lambda: P({(0, 1): half}),
+        lambda: P({(0, 0): 2.0}),
+        lambda: BivarPoly.constant(half),
+        lambda: BivarPoly.monomial(half, 1, 1),
+        lambda: Y + half,
+        lambda: half + Y,
+        lambda: Y - half,
+        lambda: half - Y,
+        lambda: Y * half,
+        lambda: half * Y,
+        lambda: Y.scale(half),
+        lambda: Y.divide_scalar(half),
+        lambda: Y.eval_q(half),
+        lambda: Y.eval_y(half),
+    ):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_canonical_term_order_is_decreasing_q_then_y():
@@ -173,7 +186,7 @@ def test_text_rendering_corner_cases():
     assert P({(0, 0): -7}).to_text() == "-7"
     assert P({(1, 1): -1, (0, 0): 1}).to_text() == "-yq+1"
     assert P({(2, 10): 1}).to_text() == "y^2q^10"
-    assert P({(0, 1): Fraction(1, 2)}).to_text() == "1/2q"
+    assert P({(0, 1): -12}).to_text() == "-12q"
 
 
 def test_latex_rendering():
@@ -194,16 +207,16 @@ def test_y_parts_are_the_y_coefficients(a):
 
 def test_y_parts_of_sparse_and_zero_polynomials():
     assert ZERO.y_parts() == {}
-    p = P({(3, 1): Fraction(1, 2), (3, 0): -2, (0, 4): 5})
+    p = P({(3, 1): 3**50, (3, 0): -2, (0, 4): 5})
     parts = p.y_parts()
-    assert parts == {3: P({(0, 1): Fraction(1, 2), (0, 0): -2}), 0: P({(0, 4): 5})}
+    assert parts == {3: P({(0, 1): 3**50, (0, 0): -2}), 0: P({(0, 4): 5})}
     assert 1 not in parts and 2 not in parts and 4 not in parts
     assert p.y_coefficient(2) == ZERO
 
 
 def test_json_terms():
-    p = P({(1, 2): Fraction(-3, 2), (0, 0): 4})
+    p = P({(1, 2): -3, (0, 0): 4})
     assert p.to_json_terms() == [
-        {"dy": 1, "dq": 2, "num": -3, "den": 2},
+        {"dy": 1, "dq": 2, "num": -3, "den": 1},
         {"dy": 0, "dq": 0, "num": 4, "den": 1},
     ]
