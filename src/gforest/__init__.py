@@ -34,7 +34,6 @@ from .genfun import (
     build_forest_gf,
     build_tree_gf,
     coefficient_poly,
-    default_order,
     euler_characteristic,
     extract_counts,
     forest_gf_via_lagrange,
@@ -42,7 +41,6 @@ from .genfun import (
     verify_algebraic_relation,
 )
 from .oracle import (
-    BudgetExceeded,
     InvalidMove,
     contract_fully,
     contract_move,
@@ -58,14 +56,13 @@ from .oracle import (
     mom_dimension,
 )
 from .perms import (
+    BudgetExceeded,
     DecoratedPermutation,
     SizeTooSmall,
     amalgamation,
     antiexcedances,
     cyclic_rotation,
     direct_sum,
-    enumerate_grass_forest_permutations,
-    enumerate_grass_tree_permutations,
     enumerate_separable,
     is_separable,
     pi_perm,

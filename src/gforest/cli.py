@@ -140,13 +140,12 @@ def cmd_relations(args) -> int:
 def cmd_perms(args) -> int:
     if args.n < 1:
         raise ConfigError("need --n >= 1")
-    if args.budget_n < 1:
-        raise ConfigError("need --budget-n >= 1")
-    if args.family == "separable" and args.n > args.budget_n:
-        raise ConfigError(f"separable enumeration capped at n = {args.budget_n}")
-    if args.family != "separable":
-        if args.n > args.order:
-            raise ConfigError(f"n = {args.n} exceeds working order {args.order}")
+    if args.n > args.order:
+        raise ConfigError(f"n = {args.n} exceeds working order {args.order}")
+    if args.family == "separable":
+        if args.n > perms.SEPARABLE_MAX_N:
+            raise ConfigError(f"separable enumeration capped at n = {perms.SEPARABLE_MAX_N}")
+    else:
         # The closure on m letters holds as many permutations as [x^m] of the
         # kind's series at y = q = 1: equal at every m measured, m <= 8 and
         # m = 10 for trees, m = 9 for forests.
@@ -160,15 +159,15 @@ def cmd_perms(args) -> int:
     by_descents = args.by == "descents"
     with _output(args.out) as fh:
         if args.family == "separable":
-            hist = perms.enumerate_separable(args.n, by_descents, budget=args.budget_n)
+            hist = perms.enumerate_separable(args.n, by_descents)
         else:
-            enum = (
-                perms.enumerate_grass_tree_permutations
+            closure = (
+                perms.grass_tree_permutation_sets
                 if args.family == "grass-tree"
-                else perms.enumerate_grass_forest_permutations
+                else perms.grass_forest_permutation_sets
             )
             hist = {}
-            for w in enum(args.n):
+            for w in closure(args.n)[args.n]:
                 key = (
                     perms.descents(w.images) if by_descents else perms.antiexcedances(w)
                 )
@@ -179,7 +178,7 @@ def cmd_perms(args) -> int:
     return EXIT_OK
 
 
-def run_checks(oracle_max_n: int, order: int, budget: int):
+def run_checks(oracle_max_n: int, order: int):
     """All cross-checks; yields (name, ok, detail) triples, with ok None
     for a check that had nothing to compare."""
     forest = genfun.series_for(GFKind.GRASS_FOREST, order)
@@ -221,7 +220,7 @@ def run_checks(oracle_max_n: int, order: int, budget: int):
     for kind in GFKind if oracle_max_n >= 1 else ():
         series = genfun.series_for(kind, oracle_max_n)
         for n in range(1, oracle_max_n + 1):
-            counts = oracle.count_by_statistics(n, kind, budget=budget)
+            counts = oracle.count_by_statistics(n, kind)
             expect = genfun.extract_counts(series, n)
             if counts != expect:
                 bad = sorted(set(counts.items()) ^ set(expect.items()))[0][0]
@@ -277,12 +276,10 @@ def run_checks(oracle_max_n: int, order: int, budget: int):
 def cmd_check(args) -> int:
     if args.oracle_max_n < 0:
         raise ConfigError("need --oracle-max-n >= 0")
-    if args.budget < 1:
-        raise ConfigError("need --budget >= 1")
     status = EXIT_OK
     skipped = 0
     with _output(args.out) as fh:  # each verdict is written as soon as it is decided
-        for name, ok, detail in run_checks(args.oracle_max_n, args.order, args.budget):
+        for name, ok, detail in run_checks(args.oracle_max_n, args.order):
             verdict = "SKIP" if ok is None else "PASS" if ok else "FAIL"
             fh.write(f"{verdict} {name}" + (f": {detail}" if detail else "") + "\n")
             fh.flush()
@@ -309,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--order",
         type=int,
-        default=None,
-        help="largest n a command may ask for (default 14, or GFOREST_ORDER); "
+        default=genfun.DEFAULT_ORDER,
+        help=f"largest n any command may ask for (default {genfun.DEFAULT_ORDER}); "
         "each series is built only as far as the request needs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run every cross-check; exit 1 on mismatch")
     p.add_argument("--oracle-max-n", type=int, default=6)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 
@@ -354,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--by", default="descents", choices=["descents", "antiexcedances"])
-    p.add_argument("--budget-n", type=int, default=10, help="separable brute-force cap")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_perms)
 
@@ -365,15 +360,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.order is None:
-            try:
-                args.order = genfun.default_order()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
         if args.order < 1:
             raise ConfigError("order must be >= 1")
         return args.func(args)
-    except (ConfigError, oracle.BudgetExceeded, OSError) as exc:
+    except (ConfigError, perms.BudgetExceeded, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except genfun.IntegralityViolation as exc:

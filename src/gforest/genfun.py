@@ -29,7 +29,6 @@ longer checks are asked for (the online power series of McIlroy,
 from __future__ import annotations
 
 import json
-import os
 import threading
 from enum import Enum
 from functools import lru_cache
@@ -68,14 +67,6 @@ class GFKind(Enum):
     @property
     def tree_kind(self) -> "GFKind":
         return GFKind.PLABIC_TREE if self.is_plabic else GFKind.GRASS_TREE
-
-
-def default_order() -> int:
-    """The cap on n for the command line: GFOREST_ORDER, else DEFAULT_ORDER."""
-    text = os.environ.get("GFOREST_ORDER", str(DEFAULT_ORDER))
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"GFOREST_ORDER must be a positive integer, not {text!r}")
-    return int(text)
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +166,7 @@ def forest_gf_via_lagrange(kind: GFKind, n: int, order: int | None = None) -> di
     if order is not None and order < n:
         raise ValueError("order too small for the requested coefficient")
     counts = {}
-    for (dy, dq), c in _tree_power(kind.tree_kind, n).terms():
+    for (dy, dq), c in _tree_power(kind.tree_kind, n).term_map().items():
         count, rest = divmod(c, n + 1)
         if rest:
             raise IntegralityViolation(
@@ -204,11 +195,11 @@ def extract_counts(series: TruncSeries, n: int) -> dict:
 def coefficient_poly(kind: GFKind, n: int, k: int, order: int | None = None) -> BivarPoly:
     """[x^n y^k] as a polynomial in q, validated as a counting coefficient.
 
-    The series is built to n; n may not exceed `order` (default_order()
+    The series is built to n; n may not exceed `order` (DEFAULT_ORDER
     when not given)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    order = default_order() if order is None else order
+    order = DEFAULT_ORDER if order is None else order
     if n > order:
         raise ValueError(f"n = {n} exceeds working order {order}")
     series = series_for(kind, n)

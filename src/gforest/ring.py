@@ -135,7 +135,9 @@ class BivarPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, BivarPoly) else BivarPoly.constant(-other))
+        if not isinstance(other, (int, BivarPoly)):
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other

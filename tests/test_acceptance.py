@@ -65,13 +65,10 @@ def test_criterion_1_reference_table_reproduction():
 
 def test_criterion_2_oracle_equivalence():
     n_max = 20 if EXTENDED else 16
-    # The default budget of 10^8 objects stops the forests at n = 12;
-    # n = 20 has 2.6 * 10^16 Grassmannian forests.
-    budget = 10**17
     for kind in GFKind:
         series = series_for(kind, n_max)
         for n in range(1, n_max + 1):
-            counts = count_by_statistics(n, kind, budget=budget)
+            counts = count_by_statistics(n, kind)
             assert counts == extract_counts(series, n), (kind, n)
     report(2, True, f"brute-force counts equal coefficients, all kinds, n <= {n_max}")
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -42,20 +44,14 @@ def test_coeff_rejects_nonpositive_n(capsys):
     assert code == EXIT_CONFIG and "--n >= 1" in err and out == ""
 
 
-def test_order_env_override(capsys, monkeypatch):
+def test_the_environment_does_not_set_the_order(capsys, monkeypatch):
+    # An old GFOREST_ORDER setting changes neither the CLI nor the library.
     monkeypatch.setenv("GFOREST_ORDER", "3")
-    code, _, err = run(capsys, "coeff", "--n", "4", "--k", "2")
-    assert code == EXIT_CONFIG and "order" in err
-    monkeypatch.setenv("GFOREST_ORDER", "5")
     code, out, _ = run(capsys, "coeff", "--n", "4", "--k", "2")
     assert code == EXIT_OK and out.strip() == ROW_4_2
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "7.5"])
-def test_bad_order_env_is_config_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("GFOREST_ORDER", value)
-    code, _, err = run(capsys, "coeff", "--n", "4", "--k", "2")
-    assert code == EXIT_CONFIG and "GFOREST_ORDER" in err
+    assert genfun.coefficient_poly(genfun.GFKind.GRASS_FOREST, 4, 2).to_text() == ROW_4_2
+    with pytest.raises(ValueError, match="exceeds working order 14"):
+        genfun.coefficient_poly(genfun.GFKind.GRASS_FOREST, 15, 2)
 
 
 def test_table_text_matches_reference(capsys):
@@ -161,10 +157,25 @@ def test_tables_to_x14_are_pinned():
     assert got == TABLE_SHA256
 
 
-def test_check_output_at_the_defaults_is_pinned(capsys, monkeypatch):
-    monkeypatch.delenv("GFOREST_ORDER", raising=False)
+def test_check_output_at_the_defaults_is_pinned(capsys):
     code, out, _ = run(capsys, "check")
     assert code == EXIT_OK and _sha256(out) == CHECK_SHA256
+
+
+PERMS_SHA256 = {
+    ("separable", "8", "descents"): "7b7d807aa4c521e636c02cb0abacb5b5862d9e98906b555bf86dd58b5791117b",
+    ("separable", "8", "antiexcedances"): "747887f0bbb7d69f2690d78666ad3cc7d0ba317ebd15aa04a0a793c28e7c207a",
+    ("grass-tree", "7", "descents"): "dbc983ad7825c6cd43325e25db0fd0f09c0cae9d5ed2cbd26c5ec1dda8812bdc",
+    ("grass-tree", "7", "antiexcedances"): "53448752532733890dd77770eb8740240fd191e79c0fd9d05d02f3b410f34bca",
+    ("grass-forest", "7", "descents"): "453e6ec3f1b96ebc6e7aa46b65d77619e57c9f7cb28e559e35e9934cc92cdfa8",
+    ("grass-forest", "7", "antiexcedances"): "274a9ee331bbb712fc637a93e1fc7c6f33c144cfd578523c39bc1dc327b7357f",
+}
+
+
+@pytest.mark.parametrize("family, n, by", sorted(PERMS_SHA256))
+def test_perms_output_is_pinned(capsys, family, n, by):
+    code, out, _ = run(capsys, "perms", "--family", family, "--n", n, "--by", by)
+    assert code == EXIT_OK and _sha256(out) == PERMS_SHA256[family, n, by]
 
 
 def test_table_order_guard(capsys):
@@ -243,8 +254,8 @@ def test_perms_refuses_an_oversized_closure_before_it_starts(
     def never(*args, **kwargs):
         raise AssertionError("a closure was started")
 
-    monkeypatch.setattr(cli.perms, "enumerate_grass_tree_permutations", never)
-    monkeypatch.setattr(cli.perms, "enumerate_grass_forest_permutations", never)
+    monkeypatch.setattr(cli.perms, "grass_tree_permutation_sets", never)
+    monkeypatch.setattr(cli.perms, "grass_forest_permutation_sets", never)
     path = tmp_path / "perms.txt"
     path.write_bytes(b"kept\n")
     code, out, err = run(capsys, "perms", "--family", family, "--n", n, "--out", str(path))
@@ -256,14 +267,32 @@ def test_perms_refuses_an_oversized_closure_before_it_starts(
         assert f"would hold {size} permutations, over the budget of 1000000" in err
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_perms_rejects_nonpositive_budget(capsys, monkeypatch, budget):
+def test_separable_perms_obey_the_order_cap_first(capsys, monkeypatch, tmp_path):
     def never(*args, **kwargs):
         raise AssertionError("permutations were enumerated")
 
     monkeypatch.setattr(cli.perms, "enumerate_separable", never)
-    code, out, err = run(capsys, "perms", "--family", "separable", "--n", "4", "--budget-n", budget)
-    assert code == EXIT_CONFIG and "need --budget-n >= 1" in err and out == ""
+    path = tmp_path / "perms.txt"
+    path.write_bytes(b"kept\n")
+    argv = ["perms", "--family", "separable", "--n", "9", "--out", str(path)]
+    code, out, err = run(capsys, "--order", "5", *argv)
+    assert code == EXIT_CONFIG and "n = 9 exceeds working order 5" in err and out == ""
+    assert path.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--budget", "5"],
+        ["perms", "--family", "separable", "--n", "4", "--budget-n", "5"],
+    ],
+    ids=["check --budget", "perms --budget-n"],
+)
+def test_removed_size_options_are_unknown_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_check_passes_by_default(capsys):
@@ -299,9 +328,7 @@ def test_check_compares_the_oracle_only_within_the_order_cap(capsys, monkeypatch
     assert max(asked) == 3
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--oracle-max-n", "-1"), ("--budget", "0"), ("--budget", "-5")]
-)
+@pytest.mark.parametrize("flag, value", [("--oracle-max-n", "-1")])
 def test_check_rejects_bad_arguments_before_computing(capsys, monkeypatch, flag, value):
     def never(*args):
         raise AssertionError("a series was built")
@@ -320,12 +347,12 @@ def test_render_table_rejects_an_unknown_format_before_building(monkeypatch):
         cli.render_table(4, 6, genfun.GFKind.GRASS_FOREST, "xml", 14)
 
 
-def test_check_over_the_oracle_budget_is_config_error(capsys):
-    code, out, err = run(capsys, "check", "--oracle-max-n", "14")
-    assert code == EXIT_CONFIG
-    assert "enumeration ceiling 100000000 hit at n = 12" in err
-    # The verdicts decided before the oracle gave up are kept; no summary line.
-    assert out.splitlines() == ["PASS reference-table", "PASS lagrange-dual-path"]
+def test_check_compares_the_oracle_up_to_the_order_cap(capsys):
+    # The oracle multiplies component histograms, so n = 14 is cheap.
+    code, out, _ = run(capsys, "check", "--oracle-max-n", "14")
+    assert code == EXIT_OK and _sha256(out) == CHECK_SHA256
+    lines = out.splitlines()
+    assert len(lines) == 11 and all(line.startswith("PASS ") for line in lines[:-1])
 
 
 def test_check_writes_the_same_lines_to_a_file(capsys, tmp_path):
@@ -396,7 +423,7 @@ def test_check_reports_injected_mom_dimension_bug(capsys, monkeypatch):
         oracle, "vertex_mom_dimension", lambda h, deg: original(h, deg) + 1
     )
     try:
-        results = {name: (ok, detail) for name, ok, detail in run_checks(4, 6, 10**8)}
+        results = {name: (ok, detail) for name, ok, detail in run_checks(4, 6)}
     finally:
         monkeypatch.undo()
         for cache in caches:
@@ -404,6 +431,25 @@ def test_check_reports_injected_mom_dimension_bug(capsys, monkeypatch):
     ok, detail = results["oracle-equivalence"]
     assert not ok
     assert "(n,k,r)=(3," in detail
+
+
+def _readme_commands():
+    """The argument lists of the `gforest` lines in README's Command line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("gforest ")
+    ]
+    assert commands, "no gforest lines in README's Command line block"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_run(capsys, tmp_path, argv):
+    argv = [str(tmp_path / a) if b == "--out" else a for b, a in zip([None, *argv], argv)]
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
 
 
 def test_exit_code_contract_documented_values():

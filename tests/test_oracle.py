@@ -7,7 +7,6 @@ import pytest
 
 from gforest.genfun import GFKind
 from gforest.oracle import (
-    BudgetExceeded,
     InvalidMove,
     contract_fully,
     contract_move,
@@ -260,16 +259,6 @@ def test_histograms_match_object_level_enumeration(n, kind):
             ):
                 hist[(helicity(G), mom_dimension(G))] += 1
         assert dict(hist) == count_by_statistics(n, kind, contracted_only=contracted)
-
-
-def test_budget_ceiling_raises():
-    with pytest.raises(BudgetExceeded):
-        count_by_statistics(6, GFKind.GRASS_FOREST, budget=10)
-
-
-def test_budget_ceiling_stops_a_large_tree_count():
-    with pytest.raises(BudgetExceeded, match="exceed budget 100000000"):
-        count_by_statistics(14, GFKind.GRASS_TREE)
 
 
 def test_contracted_plabic_forests_are_bipartite():

@@ -3,9 +3,9 @@ from collections import Counter
 
 import pytest
 
+from gforest import perms
 from gforest.genfun import GFKind, build_tree_gf, extract_counts, series_for
 from gforest.oracle import (
-    BudgetExceeded,
     contract_move,
     contractible_edges,
     decorate_grassmannian,
@@ -15,6 +15,7 @@ from gforest.oracle import (
     mom_dimension,
 )
 from gforest.perms import (
+    BudgetExceeded,
     DecoratedPermutation,
     SizeTooSmall,
     amalgamation,
@@ -22,7 +23,6 @@ from gforest.perms import (
     cyclic_rotation,
     descents,
     direct_sum,
-    enumerate_grass_tree_permutations,
     enumerate_separable,
     grass_forest_permutation_sets,
     grass_tree_permutation_sets,
@@ -167,7 +167,7 @@ def test_separable_pattern_examples():
 
 
 def test_separable_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="capped at n = 10"):
         enumerate_separable(11)
 
 
@@ -184,7 +184,7 @@ def test_separable_descents_match_plabic_tree_series(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tree_permutation_closure_equals_trip_permutations(n):
-    closure = set(enumerate_grass_tree_permutations(n))
+    closure = grass_tree_permutation_sets(n)[n]
     trips = {
         trip_permutation(G)
         for T in enumerate_trees(n)
@@ -213,14 +213,16 @@ def test_forest_permutation_closure_equals_trip_permutations(n):
     assert closure == trips
 
 
-def test_closure_budget():
-    with pytest.raises(BudgetExceeded):
-        grass_tree_permutation_sets(7, budget=5)
+def test_closure_budget(monkeypatch):
+    monkeypatch.setattr(perms, "CLOSURE_BUDGET", 5)
+    with pytest.raises(BudgetExceeded, match="closure exceeded 5 permutations"):
+        grass_tree_permutation_sets(7)
     # At n <= 6 the tree closure (238 permutations) fits in 1000; the
     # forest closure (2357) does not.
-    assert sum(map(len, grass_tree_permutation_sets(6, budget=1000).values())) == 238
+    monkeypatch.setattr(perms, "CLOSURE_BUDGET", 1000)
+    assert sum(map(len, grass_tree_permutation_sets(6).values())) == 238
     with pytest.raises(BudgetExceeded):
-        grass_forest_permutation_sets(6, budget=1000)
+        grass_forest_permutation_sets(6)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot
+from gforest.series import TruncSeries
 
 
 def P(terms):
@@ -174,6 +175,14 @@ def test_ring_refuses_fractions():
     ):
         with pytest.raises(TypeError):
             make()
+
+
+def test_poly_with_a_series_falls_back_to_the_series():
+    # Both operators leave a series operand to TruncSeries's reflected method.
+    x = TruncSeries.x(3)
+    assert Y + x == x + Y
+    assert Y - x == -(x - Y)
+    assert (Y - x)[0] == Y and (Y - x)[1] == -ONE
 
 
 def test_canonical_term_order_is_decreasing_q_then_y():
