@@ -11,8 +11,14 @@ A polynomial is stored as a dict from packed exponents to nonzero
 coefficients.  The packing ``(dy << _SHIFT) | dq`` turns exponent addition
 during multiplication into a single integer add.  Exponents up to
 ``2**_SHIFT - 1`` are supported, far beyond anything produced here.
-A sum of products, the ring's one hot path, is `dot`: every term product
-goes into a single dict, cleaned once at the end; `*` is `dot` of one pair.
+A sum of products is `dot`: every term product goes into a single dict,
+cleaned once at the end; `*` is `dot` of one pair.  `dot` is the kernel of
+Miller's power recurrence, the Lagrange route and the relation residual.
+The series product, quotient and reversion do not call it: they run on
+Kronecker-packed ints (`pack`, `unpack`), the ring homomorphism
+P(y, q) -> P(2^(b*stride), 2^b), with slots sized by a Cauchy majorant
+(`slot_width`), so the cross-checks and the series build multiply with
+different kernels.
 
 Values are immutable after construction; all operations return new
 polynomials and are safe to use concurrently.
@@ -22,6 +28,72 @@ from __future__ import annotations
 
 _SHIFT = 20
 _MASK = (1 << _SHIFT) - 1
+
+
+# Kronecker substitution: P(y, q) packs to the int P(2^(b*stride), 2^b), so
+# the coefficient of y^dy q^dq fills slot dy*stride + dq, b = 8*width bits
+# wide.  Slots are whole bytes so that packing and unpacking are one bytes
+# conversion each.
+
+
+def slot_width(bound: int) -> int:
+    """Bytes per slot for coefficients of absolute value at most bound, with
+    one bit to spare for the sign of a balanced digit."""
+    return bound.bit_length() // 8 + 1
+
+
+def pack(p: "BivarPoly", width: int, stride: int) -> int:
+    """p(2^(8*width*stride), 2^(8*width)).
+
+    Every coefficient must be below 2^(8*width) in absolute value and every
+    q-degree below stride, so that each term fills its own slot."""
+    t = p._t
+    if not t:
+        return 0
+    slots = {}
+    for k, c in t.items():
+        dq = k & _MASK
+        if dq >= stride:
+            raise ValueError(f"q-degree {dq} does not fit a stride of {stride}")
+        slots[((k >> _SHIFT) * stride + dq) * width] = c
+    size = max(slots) + width
+    pos = bytearray(size)
+    neg = None
+    for at, c in slots.items():
+        if c > 0:
+            pos[at : at + width] = c.to_bytes(width, "little")
+        else:
+            if neg is None:
+                neg = bytearray(size)
+            neg[at : at + width] = (-c).to_bytes(width, "little")
+    v = int.from_bytes(pos, "little")
+    return v - int.from_bytes(neg, "little") if neg else v
+
+
+def unpack(v: int, width: int, stride: int) -> "BivarPoly":
+    """The polynomial P with P(2^(8*width*stride), 2^(8*width)) = v whose
+    coefficients lie in [-2^(8*width-1), 2^(8*width-1)) and whose q-degrees
+    are below stride: v's digits in balanced base 2^(8*width).
+
+    Adding 2^(8*width-1) in every slot makes each digit nonnegative without
+    a carry, so one conversion to bytes reads them all.  The terms are
+    stored in canonical order, which `terms()` then sorts in linear time."""
+    if not v:
+        return _ZERO
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    count = (abs(v).bit_length() + bits) // bits + 1  # enough slots for v's top digit
+    centre = bytes(width - 1) + b"\x80"  # the digit 0
+    data = (v + int.from_bytes(centre * count, "little")).to_bytes(count * width, "little")
+    digits = [data[i : i + width] for i in range(0, count * width, width)]
+    t = {}
+    for dq in range(min(stride, count) - 1, -1, -1):
+        column = digits[dq::stride]
+        for dy in range(len(column) - 1, -1, -1):
+            d = column[dy]
+            if d != centre:
+                t[(dy << _SHIFT) | dq] = int.from_bytes(d, "little") - half
+    return BivarPoly._raw(t)
 
 
 def _int(c) -> int:
@@ -96,6 +168,10 @@ class BivarPoly:
 
     def q_degree(self) -> int:
         return max((k & _MASK for k in self._t), default=-1)
+
+    def norm(self) -> int:
+        """The l1 norm: the sum of the absolute values of the coefficients."""
+        return sum(map(abs, self._t.values()))
 
     def __len__(self):
         return len(self._t)

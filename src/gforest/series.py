@@ -6,9 +6,10 @@ smaller order; comparing series of different orders is an error.
 
 Compositional inversion solves [x^m] f(g) = 0 order by order, keeping
 the coefficients of the powers of g found so far; it needs only products
-and sums of coefficients.  Composition (`compose`, Horner's rule) and
-Lagrange inversion (`lagrange_coefficient`, which never builds the
-inverse) share no code with it, so either can cross-validate it.
+and sums of coefficients.  Composition (`compose`, Horner's rule over
+series products) and Lagrange inversion (`lagrange_coefficient`, which
+never builds the inverse) use other recurrences, so either can
+cross-validate it; the Lagrange route also uses another kernel.
 `power_coefficient`, the shared helper behind the Lagrange route, gives
 [x^m] f^e by Miller's recurrence without building any power of f.
 
@@ -22,13 +23,24 @@ on the values of the other coefficients, and every result has integer
 coefficients.  Both reciprocals the generating functions need, of the
 denominator of C and of 1 + G_tree, have x^0 coefficient 1.
 
-A coefficient that is a sum of products, in a product, a division or an
-inversion, is one `ring.dot` call, so no partial sum is ever built.
+The product, the quotient and the reversion each run their whole
+recurrence on Kronecker-packed ints: each input coefficient is packed once
+(`ring.pack`), and each output coefficient unpacked once (`ring.unpack`),
+as balanced base-2^b digits.  The slot width b comes from the same
+recurrence run on the inputs' l1 norms with every sign positive, a Cauchy
+majorant of each output coefficient, and the q-stride from the same
+recurrence run in (max, +) on q-degrees.  `power_coefficient`, and so
+`lagrange_coefficient`, stays on `ring.dot`, one call per coefficient, so
+that the Lagrange route checks the reversion with an independent kernel.
 """
 
 from __future__ import annotations
 
-from .ring import ONE, ZERO, BivarPoly, as_poly, dot
+from itertools import chain
+from operator import add, mul, neg, pos
+from typing import Callable, NamedTuple
+
+from .ring import ONE, ZERO, BivarPoly, as_poly, dot, pack, slot_width, unpack
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -51,6 +63,86 @@ def _unit(c: BivarPoly, error, where: str) -> int:
     if not (c.is_constant() and u in (1, -1)):
         raise error(f"{where} coefficient is not 1 or -1")
     return u
+
+
+# -- recurrences on packed coefficients -----------------------------------------
+#
+# Each recurrence is written once over `_Ops` and run three times: on packed
+# ints (`_INTS`), on l1 norms (`_MAJORANT`, which bounds each output's norm
+# and so each of its coefficients) and on q-degrees (`_DEGREES`).  The unit a
+# recurrence divides by is the coefficient itself, 1 or -1: its norm 1 and
+# its q-degree 0 are the identities of the other two runs.
+
+
+class _Ops(NamedTuple):
+    dot: Callable  # the sum of x * y over two sequences
+    times: Callable
+    plus: Callable
+    minus: Callable  # negation
+
+
+_NO_TERMS = float("-inf")  # the q-degree of 0 in (max, +)
+
+
+def _int_dot(xs, ys):
+    return sum(map(mul, xs, ys))
+
+
+def _degree_dot(xs, ys):
+    return max(map(add, xs, ys), default=_NO_TERMS)
+
+
+_INTS = _Ops(_int_dot, mul, add, neg)
+_MAJORANT = _Ops(_int_dot, mul, add, pos)
+_DEGREES = _Ops(_degree_dot, add, max, pos)
+
+
+def _product(ops, a, b):
+    """[x^m] a*b for m = 0 .. len(a) - 1."""
+    return [ops.dot(a[: m + 1], b[m::-1]) for m in range(len(a))]
+
+
+def _quotient(ops, a, b):
+    """[x^i] a/b for i = 0 .. len(a) - 1, where b_0 = u is 1 or -1:
+    o_i = u (a_i - sum_{k=1..i} b_k o_(i-k))."""
+    u, out = b[0], []
+    for i in range(len(a)):
+        out.append(ops.times(u, ops.plus(a[i], ops.minus(ops.dot(b[1 : i + 1], out[::-1])))))
+    return out
+
+
+def _reversion(ops, f):
+    """The compositional inverse g of f, where f_0 = 0 and f_1 = u is 1 or -1.
+
+    g_0 = 0, g_1 = 1/u = u and, for m >= 2,
+        g_m = -u sum_{j=2..m} f_j [x^m] g^j,
+    where [x^m] g^j = sum_{i>=1} g_i [x^(m-i)] g^(j-1) needs only
+    g_1 .. g_(m-1)."""
+    n, u = len(f) - 1, f[1]
+    g = [f[0], u] + [None] * (n - 1)
+    powers = [None, g]  # powers[j][m] = [x^m] g^j, filled for m below the next g_m
+    for m in range(2, n + 1):
+        powers.append([None] * (n + 1))
+        for j in range(2, m + 1):
+            powers[j][m] = ops.dot(g[1 : m - j + 2], powers[j - 1][m - 1 : j - 2 : -1])
+        g[m] = ops.minus(ops.times(u, ops.dot(f[2 : m + 1], [row[m] for row in powers[2:]])))
+    return g
+
+
+def _packed(recurrence, *inputs):
+    """The output coefficients of `recurrence` on the input coefficient
+    sequences, computed on ints: each input coefficient is packed once and
+    each output coefficient unpacked once.
+
+    The majorant run and the inputs' norms size the slots, the (max, +) run
+    and the inputs' q-degrees the stride.  Packing is a ring homomorphism,
+    so nothing else has to fit: the intermediate ints are never unpacked."""
+    norms = [[c.norm() for c in cs] for cs in inputs]
+    degrees = [[c.q_degree() if c else _NO_TERMS for c in cs] for cs in inputs]
+    width = slot_width(max(chain(recurrence(_MAJORANT, *norms), *norms)))
+    stride = 1 + max(chain([0], recurrence(_DEGREES, *degrees), *degrees))
+    packed = [[pack(c, width, stride) for c in cs] for cs in inputs]
+    return [unpack(v, width, stride) for v in recurrence(_INTS, *packed)]
 
 
 class TruncSeries:
@@ -185,21 +277,16 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self._c, other._c
-        return TruncSeries([dot(zip(a[: m + 1], b[m::-1])) for m in range(n + 1)], n)
+        return TruncSeries(_packed(_product, self._c[: n + 1], other._c[: n + 1]), n)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        u = _unit(other._c[0], NonUnitConstantTerm, "x^0")
+        _unit(other._c[0], NonUnitConstantTerm, "x^0")
         n = min(self.order, other.order)
-        a, b = self._c, other._c
-        out = []
-        for i in range(n + 1):
-            out.append((a[i] - dot(zip(b[1 : i + 1], out[::-1]))).scale(u))
-        return TruncSeries(out, n)
+        return TruncSeries(_packed(_quotient, self._c[: n + 1], other._c[: n + 1]), n)
 
     # -- composition and inversion ------------------------------------------
 
@@ -217,26 +304,16 @@ class TruncSeries:
     def reversion(self) -> "TruncSeries":
         """Compositional inverse g with self(g) = g(self) = x up to the order.
 
-        Requires a zero constant term and u = 1 or -1 as the x^1
-        coefficient.  Then g_1 = 1/u = u and, for m >= 2,
-            g_m = -u sum_{j=2..m} f_j [x^m] g^j,
-        where [x^m] g^j = sum_{i>=1} g_i [x^(m-i)] g^(j-1) needs only
-        g_1 .. g_(m-1).
+        Requires a zero constant term and 1 or -1 as the x^1 coefficient;
+        `_reversion` gives the recurrence.
         """
-        f, n = self._c, self.order
+        f = self._c
         if f[0]:
             raise NotInvertible("series with nonzero constant term has no inverse")
-        if n < 1:
+        if self.order < 1:
             raise NotInvertible("order 0 series cannot be inverted")
-        g1 = as_poly(_unit(f[1], NotInvertible, "x^1"))
-        g = [ZERO, g1] + [ZERO] * (n - 1)
-        powers = [None, g]  # powers[j][m] = [x^m] g^j, filled for m below the next g_m
-        for m in range(2, n + 1):
-            powers.append([ZERO] * (n + 1))
-            for j in range(2, m + 1):
-                powers[j][m] = dot(zip(g[1 : m - j + 2], powers[j - 1][m - 1 : j - 2 : -1]))
-            g[m] = dot(zip(f[2 : m + 1], (row[m] for row in powers[2:]))) * -g1
-        return TruncSeries(g, n)
+        _unit(f[1], NotInvertible, "x^1")
+        return TruncSeries(_packed(_reversion, f), self.order)
 
     # -- coefficient-wise helpers --------------------------------------------
 

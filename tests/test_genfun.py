@@ -1,6 +1,8 @@
 """The four headline series against hand values, the oracle, and each other."""
 
+import hashlib
 import math
+import os
 import random
 import sys
 import threading
@@ -183,6 +185,36 @@ def test_dual_path_equality(kind):
 def test_lagrange_route_rejects_tree_kinds(kind):
     with pytest.raises(ValueError, match="forest"):
         forest_gf_via_lagrange(kind, 4)
+
+
+# -- the four series past the tables' order ------------------------------------------
+
+# sha256 over repr(sorted(c.term_map().items())) of every coefficient of the
+# four series, kinds in GFKind order, as the dict kernel computed them.
+SERIES_SHA256 = {
+    14: "1ee78ca8069d9755289fc7cb9c936bfa96d3d930094892815e148a5318c694ee",
+    20: "f05cda776aeab60f8ea3ddf6cc9c0e8f794d2469f188a28776cd3e81b17854a4",
+    26: "86aa617e955b7c11385880d584c93e087e44d4398381cfd6e128ce99f8b5025d",
+}
+EXTENDED = os.environ.get("GFOREST_EXTENDED") == "1"
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        14,
+        20,
+        pytest.param(
+            26, marks=pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1")
+        ),
+    ],
+)
+def test_the_four_series_are_pinned(order):
+    digest = hashlib.sha256()
+    for kind in GFKind:
+        for c in series_for(kind, order).coefficients():
+            digest.update(repr(sorted(c.term_map().items())).encode())
+    assert digest.hexdigest() == SERIES_SHA256[order]
 
 
 # -- Euler specialisation -----------------------------------------------------------

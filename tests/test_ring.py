@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot
+from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot, pack, slot_width, unpack
 from gforest.series import TruncSeries
 
 
@@ -229,3 +229,31 @@ def test_json_terms():
         {"dy": 1, "dq": 2, "num": -3, "den": 1},
         {"dy": 0, "dq": 0, "num": 4, "den": 1},
     ]
+
+
+# -- Kronecker packing ----------------------------------------------------------
+
+
+@given(polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_packing_is_a_ring_homomorphism(a, b):
+    width = slot_width((a.norm() + 1) * b.norm() + a.norm())  # a, b and a*b - b fit
+    stride = max(a.q_degree() + b.q_degree(), a.q_degree(), b.q_degree(), 0) + 1
+    pa, pb = pack(a, width, stride), pack(b, width, stride)
+    assert unpack(pa, width, stride) == a
+    assert unpack(pa * pb - pb, width, stride) == a * b - b
+    product = unpack(pa * pb, width, stride)
+    assert list(product.term_map()) == [key for key, _ in product.terms()]
+
+
+def test_slot_width_keeps_a_sign_bit():
+    assert [slot_width(c) for c in (0, 1, 127, 128, 2**70)] == [1, 1, 1, 2, 9]
+    for c in (127, -128):
+        assert unpack(pack(P({(2, 1): c}), 1, 3), 1, 3) == P({(2, 1): c})
+
+
+def test_pack_refuses_a_term_that_leaves_its_slot():
+    with pytest.raises(ValueError):
+        pack(P({(0, 3): 1}), 1, 3)
+    with pytest.raises(OverflowError):
+        pack(P({(0, 0): 256}), 1, 1)

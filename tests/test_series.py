@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gforest import series
-from gforest.ring import ONE, ZERO, BivarPoly, Q, Y
+from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot
 from gforest.series import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
@@ -269,6 +269,7 @@ def test_non_unit_constants_are_refused_before_any_coefficient(monkeypatch, c):
         raise AssertionError("a coefficient was computed")
 
     monkeypatch.setattr(series, "dot", never)
+    monkeypatch.setattr(series, "pack", never)
     with pytest.raises(NonUnitConstantTerm):
         S([1, 1, 1]) / S([c, 1, 1])
     with pytest.raises(NonUnitConstantTerm):
@@ -279,6 +280,75 @@ def test_non_unit_constants_are_refused_before_any_coefficient(monkeypatch, c):
         S([0, c, 1, 1]).reversion()
     with pytest.raises(NotInvertible):
         lagrange_coefficient(S([0, c, 1, 1]), 3, 1)
+
+
+# -- the packed kernels against the dict kernel ------------------------------------
+
+# Terms of low and of high q-degree, with coefficients of either sign, small
+# or above 2^70; an empty dict is a zero coefficient.
+wide = st.integers(2**70, 2**72)
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.one_of(st.integers(0, 2), st.integers(60, 64))),
+    st.one_of(st.integers(-9, 9), wide, wide.map(lambda c: -c)),
+    max_size=3,
+).map(BivarPoly)
+BIG = 2**70
+HIGH = BivarPoly({(1, 61): -BIG, (0, 60): 3})
+
+
+def wide_series(min_order=0, head=()):
+    """Series of order min_order .. 5 whose first coefficients are head."""
+    return st.integers(min_order, 5).flatmap(
+        lambda n: st.lists(wide_polys, min_size=n + 1 - len(head), max_size=n + 1 - len(head))
+    ).map(lambda tail: TruncSeries([*head, *tail]))
+
+
+UNITS = st.sampled_from([1, -1])
+
+
+@given(wide_series(), wide_series())
+@example(S([0, 0]), S([0, HIGH]))  # all-zero coefficients
+@example(S([1, BIG]), S([1, -BIG]))  # x^1 cancels: the majorant is far above 0
+@example(S([HIGH, 1, ZERO, Y]), S([-HIGH, Q * Q, BIG]))
+@settings(max_examples=40, deadline=None)
+def test_product_matches_a_dot_convolution(a, b):
+    n = min(a.order, b.order)
+    a, b = a.coefficients(), b.coefficients()
+    expect = [dot(zip(a[: m + 1], b[m::-1])) for m in range(n + 1)]
+    assert list((S(a) * S(b)).coefficients()) == expect
+
+
+@given(wide_series(), UNITS.flatmap(lambda u: wide_series(head=[u])))
+@example(S([1, -1]), S([-1, HIGH]))  # order 1
+@settings(max_examples=40, deadline=None)
+def test_quotient_times_divisor_is_the_dividend(a, b):
+    n = min(a.order, b.order)
+    assert (a / b) * b == a.truncate(n)
+
+
+def test_quotient_far_below_its_majorant():
+    b = S([1, BIG, -BIG * BIG, HIGH, 5 * BIG])
+    assert (b * S([1, -1, 0, 0, 0])) / b == S([1, -1, 0, 0, 0])
+
+
+@given(UNITS.flatmap(lambda u: wide_series(min_order=1, head=[0, u])))
+@example(S([0, -1]))  # order 1, u = -1
+@example(S([0, 1, HIGH, 0, -BIG]))
+@settings(max_examples=30, deadline=None)
+def test_reversion_matches_lagrange_inversion(f):
+    g = f.reversion()
+    assert [g[n] for n in range(1, f.order + 1)] == [
+        lagrange_coefficient(f, n, 1) for n in range(1, f.order + 1)
+    ]
+
+
+def test_reversion_far_below_its_majorant():
+    # The inverse of x + 2^70 x^2 has coefficients of alternating sign near
+    # 2^(70(m-1)); inverting it back gives coefficients of at most 71 bits.
+    h = S([0, 1, BIG, 0, 0, 0])
+    f = h.reversion()
+    assert f[5] == BivarPoly.constant(14 * BIG**4)
+    assert f.reversion() == h
 
 
 def test_shift_down_requires_divisibility():
