@@ -147,8 +147,9 @@ def cmd_perms(args) -> int:
             raise ConfigError(f"separable enumeration capped at n = {perms.SEPARABLE_MAX_N}")
     else:
         # The closure on m letters holds as many permutations as [x^m] of the
-        # kind's series at y = q = 1: equal at every m measured, m <= 8 and
-        # m = 10 for trees, m = 9 for forests.
+        # kind's series at y = q = 1 (equal at every m measured: m <= 10 for
+        # trees, m <= 9 for forests), so the series gives the size of the
+        # whole closure, which counts toward the budget, before it is built.
         series = genfun.series_for(GFKind(args.family), args.n)
         size = sum(c for m in range(1, args.n + 1) for c in series[m].term_map().values())
         if size > perms.CLOSURE_BUDGET:

@@ -146,11 +146,9 @@ def enumerate_trees(n: int):
         yield ((block, shape),)
 
 
-def enumerate_forests(n: int, allow_singletons: bool = True):
+def enumerate_forests(n: int):
     """All series-reduced planar forests on [n]."""
     for partition in enumerate_nc_partitions(n):
-        if not allow_singletons and any(len(b) == 1 for b in partition):
-            continue
         choices = []
         for block in partition:
             if len(block) <= 2:

@@ -6,13 +6,15 @@ are computed by the rules-of-the-road walk: entering an internal vertex
 through its i-th edge (edges ordered clockwise) the walk leaves through
 edge i + h(v) mod deg(v).  Amalgamation glues two permutations the way
 an edge glues two star trees; together with cyclic rotation it generates
-exactly the permutations arising from trees.
+exactly the permutations arising from trees, and direct sum and rotation
+take those to the permutations of forests.  Both closures are built one
+size at a time, each size from the finished sets of smaller sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations as all_permutations
+from itertools import chain, combinations, permutations as all_permutations
 
 from .oracle import WHITE, BLACK
 
@@ -57,11 +59,6 @@ class DecoratedPermutation:
             raise ValueError("decorations must be black or white")
         object.__setattr__(self, "decorations", tuple(sorted(dec.items())))
 
-    @classmethod
-    def of(cls, *images, white=(), black=()):
-        dec = tuple((i, WHITE) for i in white) + tuple((i, BLACK) for i in black)
-        return cls(tuple(images), dec)
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -71,12 +68,6 @@ class DecoratedPermutation:
 
     def decoration(self, i: int):
         return dict(self.decorations).get(i)
-
-    def inverse_images(self) -> tuple:
-        inv = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            inv[v - 1] = i
-        return tuple(inv)
 
     def to_text(self) -> str:
         """One-line notation; black fixed points as _i, white as ^i."""
@@ -96,11 +87,16 @@ class DecoratedPermutation:
         }
 
 
+def _plain_antiexcedances(images) -> int:
+    inv = [0] * len(images)
+    for i, v in enumerate(images, start=1):
+        inv[v - 1] = i
+    return sum(1 for i in range(1, len(images) + 1) if inv[i - 1] > i)
+
+
 def antiexcedances(w: DecoratedPermutation) -> int:
     """Number of i with w^{-1}(i) > i, plus white fixed points."""
-    inv = w.inverse_images()
-    count = sum(1 for i in range(1, w.n + 1) if inv[i - 1] > i)
-    return count + sum(1 for _, c in w.decorations if c == WHITE)
+    return _plain_antiexcedances(w.images) + sum(1 for _, c in w.decorations if c == WHITE)
 
 
 def descents(images) -> int:
@@ -250,13 +246,6 @@ def is_separable(images) -> bool:
     return True
 
 
-def _plain_antiexcedances(images) -> int:
-    inv = [0] * len(images)
-    for i, v in enumerate(images, start=1):
-        inv[v - 1] = i
-    return sum(1 for i in range(1, len(images) + 1) if inv[i - 1] > i)
-
-
 def enumerate_separable(n: int, by_descents: bool = True) -> dict:
     """Histogram of separable permutations of [n], by descents (default) or
     by antiexcedances (fixed points counting as non-antiexcedances)."""
@@ -275,43 +264,49 @@ def enumerate_separable(n: int, by_descents: bool = True) -> dict:
 
 
 def grass_tree_permutation_sets(max_n: int) -> dict:
-    """Permutations of trees on 1..max_n letters, built by closing the
-    single-vertex permutations under amalgamation and cyclic rotation."""
-    by_size = {m: set() for m in range(1, max_n + 1)}
-    if max_n >= 1:
-        by_size[1] = {pi_perm(0, 1), pi_perm(1, 1)}
-    frontier = [pi_perm(k, m) for m in range(2, max_n + 1) for k in range(1, m)]
-    for w in frontier:
-        by_size[w.n].add(w)
-    return _close(by_size, frontier, max_n, amalgamation, 2, 2)
+    """Permutations of trees on 1..max_n letters (size -> set): the
+    single-vertex permutations closed under amalgamation and cyclic rotation.
+
+    Size m holds the stars, every amalgamation of a tree permutation on a
+    letters with one on b letters, a + b = m + 2, and their rotations.
+    Operands on two letters are left out: amalgamation with (2, 1) returns
+    the other operand.
+    """
+    by_size = {}
+    for m in range(1, max_n + 1):
+        stars = [pi_perm(0, 1), pi_perm(1, 1)] if m == 1 else [pi_perm(k, m) for k in range(1, m)]
+        glued = (
+            amalgamation(s, t)
+            for a in range(3, m)
+            for s in by_size[a]
+            for t in by_size[m + 2 - a]
+        )
+        _add_orbits(by_size, m, chain(stars, glued))
+    return by_size
 
 
 def grass_forest_permutation_sets(max_n: int) -> dict:
-    """Closure of the tree permutations under direct sum and cyclic rotation."""
+    """Closure of the tree permutations under direct sum and cyclic rotation:
+    size m holds the tree permutations, every direct sum of forest
+    permutations on a and m - a letters, and their rotations."""
     by_size = grass_tree_permutation_sets(max_n)
-    frontier = [w for s in by_size.values() for w in s]
-    return _close(by_size, frontier, max_n, direct_sum, 0, 1)
-
-
-def _close(by_size, frontier, max_n, glue, shrink, smallest):
-    """Close by_size (size -> set, filled in place) under cyclic rotation and
-    glue(w, u), glue(u, w), where glue joins sizes a and b into a + b - shrink
-    and u has at least `smallest` letters; the products that would exceed
-    max_n are never built.  Every permutation in by_size counts toward
-    CLOSURE_BUDGET."""
-    total = sum(len(s) for s in by_size.values())
-    while frontier:
-        w = frontier.pop()
-        candidates = [cyclic_rotation(w)]
-        for m in range(smallest, max_n + shrink - w.n + 1):
-            for other in by_size[m]:
-                candidates.append(glue(w, other))
-                candidates.append(glue(other, w))
-        for c in candidates:
-            if c not in by_size[c.n]:
-                by_size[c.n].add(c)
-                frontier.append(c)
-                total += 1
-                if total > CLOSURE_BUDGET:
-                    raise BudgetExceeded(f"closure exceeded {CLOSURE_BUDGET} permutations")
+    for m in range(2, max_n + 1):
+        sums = (direct_sum(s, t) for a in range(1, m) for s in by_size[a] for t in by_size[m - a])
+        _add_orbits(by_size, m, sums)
     return by_size
+
+
+def _add_orbits(by_size, m, seeds):
+    """Add every seed on m letters and its cyclic rotations to by_size[m].
+    Every permutation in by_size counts toward CLOSURE_BUDGET.  Each set
+    stays a union of whole rotation orbits, so a seed not yet found starts
+    an orbit none of whose members is found."""
+    found = by_size.setdefault(m, set())
+    total = sum(map(len, by_size.values()))
+    for w in seeds:
+        while w not in found:
+            found.add(w)
+            total += 1
+            if total > CLOSURE_BUDGET:
+                raise BudgetExceeded(f"closure exceeded {CLOSURE_BUDGET} permutations")
+            w = cyclic_rotation(w)

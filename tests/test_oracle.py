@@ -94,7 +94,6 @@ def test_forest_counts_small():
     assert len(list(enumerate_forests(0))) == 1
     assert len(list(enumerate_forests(2))) == 2
     assert len(list(enumerate_forests(3))) == 5
-    assert len(list(enumerate_forests(3, allow_singletons=False))) == 1
 
 
 def test_schroeder_trees_are_series_reduced():

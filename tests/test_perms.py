@@ -1,3 +1,5 @@
+import hashlib
+import os
 import random
 from collections import Counter
 
@@ -225,15 +227,77 @@ def test_closure_budget(monkeypatch):
         grass_forest_permutation_sets(6)
 
 
+def test_closure_budget_stops_the_build_within_a_size(monkeypatch):
+    # The forest closure through n = 6 holds 2357 permutations; through
+    # n = 7 it holds 15,553.  Candidates are built one at a time, so the
+    # build stops soon after the budget is passed, long before the 13,112
+    # direct sums of size 7 (each ordered pair of smaller forests) are made.
+    calls = []
+
+    def counted(s, t):
+        calls.append(1)
+        return direct_sum(s, t)
+
+    monkeypatch.setattr(perms, "direct_sum", counted)
+    monkeypatch.setattr(perms, "CLOSURE_BUDGET", 2357)
+    assert sum(map(len, grass_forest_permutation_sets(6).values())) == 2357
+    calls.clear()
+    with pytest.raises(BudgetExceeded, match="closure exceeded 2357 permutations"):
+        grass_forest_permutation_sets(7)
+    assert 0 < len(calls) < 1000
+
+
+def test_amalgamation_with_the_two_letter_permutation_is_the_identity():
+    swap = DecoratedPermutation((2, 1))
+    sets = grass_tree_permutation_sets(7)
+    for n in range(2, 8):
+        for t in sets[n]:
+            assert amalgamation(swap, t) == t == amalgamation(t, swap), t
+
+
+# sha256 over the sorted (images, decorations) of every permutation on
+# 1..7 letters in each closure.
+CLOSURE_DIGESTS_N7 = {
+    "tree": (1406, "005576673135e767120eeb0735e2286ff205d4b8f34f13699f2a0dad740e6088"),
+    "forest": (15553, "09df9a40bf752f5c9588f35bfe3b3d352abd1755517b5f52e382757d7bdcf022"),
+}
+
+
 @pytest.mark.parametrize(
-    "kind, closure",
-    [
-        (GFKind.GRASS_TREE, grass_tree_permutation_sets),
-        (GFKind.GRASS_FOREST, grass_forest_permutation_sets),
+    "family, closure",
+    [("tree", grass_tree_permutation_sets), ("forest", grass_forest_permutation_sets)],
+)
+def test_closures_are_pinned_at_n_seven(family, closure):
+    keys = sorted((w.images, w.decorations) for s in closure(7).values() for w in s)
+    digest = hashlib.sha256()
+    for key in keys:
+        digest.update(repr(key).encode())
+    assert (len(keys), digest.hexdigest()) == CLOSURE_DIGESTS_N7[family]
+
+
+EXTENDED = os.environ.get("GFOREST_EXTENDED") == "1"
+CLOSURES = [
+    (GFKind.GRASS_TREE, grass_tree_permutation_sets),
+    (GFKind.GRASS_FOREST, grass_forest_permutation_sets),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, closure, max_n",
+    [pytest.param(kind, closure, 6, id=f"{kind}-{closure.__name__}") for kind, closure in CLOSURES]
+    + [
+        pytest.param(
+            kind,
+            closure,
+            8,
+            id=f"{kind}-{closure.__name__}-8",
+            marks=pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1"),
+        )
+        for kind, closure in CLOSURES
     ],
 )
-def test_closure_sizes_are_the_series_coefficients_at_y_q_one(kind, closure):
-    sets = closure(6)
-    series = series_for(kind, 6)
-    for n in range(1, 7):
+def test_closure_sizes_are_the_series_coefficients_at_y_q_one(kind, closure, max_n):
+    sets = closure(max_n)
+    series = series_for(kind, max_n)
+    for n in range(1, max_n + 1):
         assert len(sets[n]) == series[n].eval_q(1).eval_y(1).constant_coefficient(), n
