@@ -218,8 +218,10 @@ def vertex_color(h: int, deg: int):
     return None
 
 
-def _decorated_nodes(shape, parent_color, plabic, contracted):
+@lru_cache(maxsize=None)
+def _decorated_nodes(shape, parent_color, plabic, contracted) -> tuple:
     """All helicity assignments of a tree shape, as decorated nodes."""
+    out = []
     deg = len(shape) + 1
     for h in range(1, deg):
         if plabic and h not in (1, deg - 1):
@@ -228,16 +230,11 @@ def _decorated_nodes(shape, parent_color, plabic, contracted):
         if contracted and color is not None and color == parent_color:
             continue
         pools = [
-            (None,) if child is None else _decorated_cached(child, color, plabic, contracted)
+            (None,) if child is None else _decorated_nodes(child, color, plabic, contracted)
             for child in shape
         ]
-        for children in product(*pools):
-            yield (h,) + children
-
-
-@lru_cache(maxsize=None)
-def _decorated_cached(shape, parent_color, plabic, contracted) -> tuple:
-    return tuple(_decorated_nodes(shape, parent_color, plabic, contracted))
+        out.extend((h,) + children for children in product(*pools))
+    return tuple(out)
 
 
 def decorate_grassmannian(forest, contracted_only: bool = True, plabic_only: bool = False):
@@ -257,7 +254,7 @@ def decorate_grassmannian(forest, contracted_only: bool = True, plabic_only: boo
             pools.append(
                 tuple(
                     (block, dec)
-                    for dec in _decorated_cached(shape, None, plabic_only, contracted_only)
+                    for dec in _decorated_nodes(shape, None, plabic_only, contracted_only)
                 )
             )
     yield from product(*pools)
@@ -332,39 +329,29 @@ def is_plabic(G) -> bool:
 # -- contraction moves --------------------------------------------------------------
 
 
-def internal_edges(G):
-    """Addresses (component_index, path) of edges between internal vertices.
+def contractible_edges(G):
+    """Addresses (component_index, path) of the edges joining two white or
+    two black internal vertices, in depth-first order.
 
     `path` is the tuple of child positions (1-based within each node tuple)
-    leading from the component root to the child endpoint of the edge.
+    leading from the component root to the child endpoint of the edge.  One
+    walk over each tree compares every vertex's colour with its children's.
     """
-    edges = []
-    for ci, (block, dec) in enumerate(G):
-        if len(block) < 3:
-            continue
-
-        def walk(node, path):
-            for i in range(1, len(node)):
-                child = node[i]
-                if child is not None:
-                    edges.append((ci, path + (i,)))
-                    walk(child, path + (i,))
-
-        walk(dec, ())
-    return edges
-
-
-def contractible_edges(G):
     out = []
-    for ci, path in internal_edges(G):
-        node = G[ci][1]
-        for i in path[:-1]:
-            node = node[i]
-        child = node[path[-1]]
-        cu = vertex_color(node[0], len(node))
-        cv = vertex_color(child[0], len(child))
-        if cu is not None and cu == cv:
-            out.append((ci, path))
+
+    def walk(ci, node, path):
+        color = vertex_color(node[0], len(node))
+        for i in range(1, len(node)):
+            child = node[i]
+            if child is not None:
+                edge = path + (i,)
+                if color is not None and vertex_color(child[0], len(child)) == color:
+                    out.append((ci, edge))
+                walk(ci, child, edge)
+
+    for ci, (block, dec) in enumerate(G):
+        if len(block) > 2:
+            walk(ci, dec, ())
     return out
 
 

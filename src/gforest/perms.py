@@ -8,7 +8,9 @@ edge i + h(v) mod deg(v).  Amalgamation glues two permutations the way
 an edge glues two star trees; together with cyclic rotation it generates
 exactly the permutations arising from trees, and direct sum and rotation
 take those to the permutations of forests.  Both closures are built one
-size at a time, each size from the finished sets of smaller sizes.
+size at a time, each size from the finished sets of smaller sizes.  The
+operations slice and shift the one-line image tuples of their operands,
+and the constructor validates every result.
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ class DecoratedPermutation:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {self.images}")
-        fixed = {i for i in range(1, n + 1) if self.images[i - 1] == i}
+        fixed = {i for i, v in enumerate(self.images, start=1) if i == v}
         dec = dict(self.decorations)
-        if set(dec) != fixed:
+        if len(dec) != len(self.decorations):
+            raise ValueError(f"a fixed point is decorated twice: {self.decorations}")
+        if dec.keys() != fixed:
             raise ValueError(f"decorations {sorted(dec)} do not match fixed points {sorted(fixed)}")
         if any(c not in (BLACK, WHITE) for c in dec.values()):
             raise ValueError("decorations must be black or white")
@@ -62,9 +66,6 @@ class DecoratedPermutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
 
     def decoration(self, i: int):
         return dict(self.decorations).get(i)
@@ -88,10 +89,9 @@ class DecoratedPermutation:
 
 
 def _plain_antiexcedances(images) -> int:
-    inv = [0] * len(images)
-    for i, v in enumerate(images, start=1):
-        inv[v - 1] = i
-    return sum(1 for i in range(1, len(images) + 1) if inv[i - 1] > i)
+    """Number of j with w(j) < j: the same set as the i = w(j) with
+    w^{-1}(i) > i."""
+    return sum(1 for j, v in enumerate(images, start=1) if v < j)
 
 
 def antiexcedances(w: DecoratedPermutation) -> int:
@@ -136,20 +136,16 @@ def amalgamation(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedP
         raise SizeTooSmall("amalgamation needs both operands on >= 2 letters")
     if s.decorations or t.decorations:
         raise ValueError("amalgamation is defined on permutations without fixed points")
-    images = []
-    for i in range(1, ns):
-        v = s(i)
-        images.append(t(1) + ns - 2 if v == ns else v)
-    for i in range(ns, ns + nt - 1):
-        v = t(i - ns + 2)
-        images.append(s(ns) if v == 1 else v + ns - 2)
-    return DecoratedPermutation(tuple(images))
+    top, bottom = t.images[0] + ns - 2, s.images[-1]
+    left = tuple(top if v == ns else v for v in s.images[:-1])
+    right = tuple(bottom if v == 1 else v + ns - 2 for v in t.images[1:])
+    return DecoratedPermutation(left + right)
 
 
 def cyclic_rotation(w: DecoratedPermutation) -> DecoratedPermutation:
     """cyc(w)(i) = w(i-1) + 1 with both index and value wrapped modulo n."""
     n = w.n
-    images = tuple(w(((i - 2) % n) + 1) % n + 1 for i in range(1, n + 1))
+    images = tuple(v % n + 1 for v in w.images[-1:] + w.images[:-1])
     dec = tuple((i % n + 1, c) for i, c in w.decorations)
     return DecoratedPermutation(images, dec)
 

@@ -1,5 +1,6 @@
 """Definition-level checks of the enumeration machinery."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -230,6 +231,29 @@ def test_invariance_under_random_moves():
         H = contract_move(G, rng.choice(contractible_edges(G)))
         assert helicity(H) == helicity(G)
         assert mom_dimension(H) == mom_dimension(G)
+
+
+# sha256 over repr(contractible_edges(G)) for every decorated forest on
+# n <= 6 points, in enumeration order: (forests, edges, digest).  Seeded
+# random moves pick from these lists, so their order is pinned too.
+CONTRACTIBLE_EDGES_N6 = (
+    3549,
+    1504,
+    "ff3251bbb6aa1059350e0c3dab5b9b4804a54fdcf8f82857eef97b7f69791f24",
+)
+
+
+def test_contractible_edges_are_pinned_to_n_six():
+    digest = hashlib.sha256()
+    forests = edges = 0
+    for n in range(1, 7):
+        for F in enumerate_forests(n):
+            for G in decorate_grassmannian(F, contracted_only=False):
+                found = contractible_edges(G)
+                digest.update(repr(found).encode())
+                forests += 1
+                edges += len(found)
+    assert (forests, edges, digest.hexdigest()) == CONTRACTIBLE_EDGES_N6
 
 
 # -- histograms ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 from collections import Counter
@@ -46,6 +47,10 @@ def test_decorated_permutation_validation():
         DecoratedPermutation((1, 2))  # undecorated fixed points
     with pytest.raises(ValueError):
         DecoratedPermutation((2, 1), ((1, "white"),))
+    with pytest.raises(ValueError):
+        DecoratedPermutation((1, 2), ((1, "white"), (1, "black"), (2, "white")))
+    with pytest.raises(ValueError):
+        DecoratedPermutation((1, 3, 2), ((1, "grey"),))
     w = DecoratedPermutation((1, 3, 2), ((1, "white"),))
     assert w.decoration(1) == "white"
 
@@ -92,6 +97,19 @@ def test_antiexcedance_examples():
     assert antiexcedances(all_white) == 3
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_antiexcedances_follow_the_inverse_definition(n):
+    # #{i : w^{-1}(i) > i} from the inverse array, plus the white fixed
+    # points, under every colouring of the fixed points.
+    for images in itertools.permutations(range(1, n + 1)):
+        inverse = {v: i for i, v in enumerate(images, start=1)}
+        plain = sum(1 for i in range(1, n + 1) if inverse[i] > i)
+        fixed = [i for i in range(1, n + 1) if images[i - 1] == i]
+        for colours in itertools.product(("black", "white"), repeat=len(fixed)):
+            w = DecoratedPermutation(images, tuple(zip(fixed, colours)))
+            assert antiexcedances(w) == plain + colours.count("white"), w
+
+
 def test_direct_sum_examples():
     one = pi_perm(1, 1)
     assert direct_sum(one, one).images == (1, 2)
@@ -126,6 +144,15 @@ def test_cyclic_rotation_examples():
     for _ in range(5):
         out = cyclic_rotation(out)
     assert out == v
+
+
+def test_n_rotations_return_every_forest_permutation():
+    for n, found in grass_forest_permutation_sets(5).items():
+        for w in found:
+            out = w
+            for _ in range(n):
+                out = cyclic_rotation(out)
+            assert out == w, w
 
 
 def test_trip_permutation_invariant_under_contraction():
