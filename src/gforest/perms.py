@@ -8,15 +8,17 @@ edge i + h(v) mod deg(v).  Amalgamation glues two permutations the way
 an edge glues two star trees; together with cyclic rotation it generates
 exactly the permutations arising from trees, and direct sum and rotation
 take those to the permutations of forests.  Both closures are built one
-size at a time, each size from the finished sets of smaller sizes.  The
-operations slice and shift the one-line image tuples of their operands,
-and the constructor validates every result.
+size at a time, each size from the finished sets of smaller sizes.
+A DecoratedPermutation is the pair (images, decorations) and equals it.
+Only its constructor validates: the operations slice and shift the image
+tuples of valid operands into valid results, built with tuple.__new__,
+and the tests check every closure member against the constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, permutations as all_permutations
+from operator import itemgetter
 
 from .oracle import WHITE, BLACK
 
@@ -38,37 +40,38 @@ class SizeTooSmall(ValueError):
     """Amalgamation needs both operands on at least two letters."""
 
 
-@dataclass(frozen=True)
-class DecoratedPermutation:
-    """One-line permutation with coloured fixed points.
+class DecoratedPermutation(tuple):
+    """One-line permutation with coloured fixed points: the pair (images,
+    decorations), and equal to it.
 
     images[i-1] = w(i); decorations is a sorted tuple of (fixed point,
     colour) pairs covering exactly the fixed points.
     """
 
-    images: tuple
-    decorations: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of [{n}]: {self.images}")
-        fixed = {i for i, v in enumerate(self.images, start=1) if i == v}
-        dec = dict(self.decorations)
-        if len(dec) != len(self.decorations):
-            raise ValueError(f"a fixed point is decorated twice: {self.decorations}")
+    def __new__(cls, images, decorations=()):
+        images = tuple(images)
+        dec = dict(decorations)
+        if any(type(v) is not int for v in chain(images, dec)):
+            raise ValueError(f"letters must be ints: {images}, {decorations}")
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of [{n}]: {images}")
+        fixed = {i for i, v in enumerate(images, start=1) if i == v}
+        if len(dec) != len(decorations):
+            raise ValueError(f"a fixed point is decorated twice: {decorations}")
         if dec.keys() != fixed:
             raise ValueError(f"decorations {sorted(dec)} do not match fixed points {sorted(fixed)}")
         if any(c not in (BLACK, WHITE) for c in dec.values()):
             raise ValueError("decorations must be black or white")
-        object.__setattr__(self, "decorations", tuple(sorted(dec.items())))
+        return tuple.__new__(cls, (images, tuple(sorted(dec.items()))))
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
+    def __getnewargs__(self):
+        return tuple(self)
 
-    def decoration(self, i: int):
-        return dict(self.decorations).get(i)
+    images = property(itemgetter(0))
+    decorations = property(itemgetter(1))
 
     def to_text(self) -> str:
         """One-line notation; black fixed points as _i, white as ^i."""
@@ -80,12 +83,6 @@ class DecoratedPermutation:
             else:
                 parts.append(str(v))
         return "(" + ",".join(parts) + ")"
-
-    def to_json(self) -> dict:
-        return {
-            "images": list(self.images),
-            "decorations": {str(i): c for i, c in self.decorations},
-        }
 
 
 def _plain_antiexcedances(images) -> int:
@@ -117,10 +114,10 @@ def pi_perm(k: int, n: int) -> DecoratedPermutation:
 
 def direct_sum(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedPermutation:
     """Block-diagonal concatenation, decorations shifted with their letters."""
-    ns = s.n
+    ns = len(s.images)
     images = s.images + tuple(v + ns for v in t.images)
     dec = s.decorations + tuple((i + ns, c) for i, c in t.decorations)
-    return DecoratedPermutation(images, dec)
+    return tuple.__new__(DecoratedPermutation, (images, dec))
 
 
 def amalgamation(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedPermutation:
@@ -131,7 +128,7 @@ def amalgamation(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedP
     from its first boundary, and vice versa.  Letters n_s .. n_s+n_t-2 of
     the result are letters 2 .. n_t of t.
     """
-    ns, nt = s.n, t.n
+    ns, nt = len(s.images), len(t.images)
     if ns < 2 or nt < 2:
         raise SizeTooSmall("amalgamation needs both operands on >= 2 letters")
     if s.decorations or t.decorations:
@@ -139,15 +136,17 @@ def amalgamation(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedP
     top, bottom = t.images[0] + ns - 2, s.images[-1]
     left = tuple(top if v == ns else v for v in s.images[:-1])
     right = tuple(bottom if v == 1 else v + ns - 2 for v in t.images[1:])
-    return DecoratedPermutation(left + right)
+    return tuple.__new__(DecoratedPermutation, (left + right, ()))
 
 
 def cyclic_rotation(w: DecoratedPermutation) -> DecoratedPermutation:
-    """cyc(w)(i) = w(i-1) + 1 with both index and value wrapped modulo n."""
-    n = w.n
-    images = tuple(v % n + 1 for v in w.images[-1:] + w.images[:-1])
-    dec = tuple((i % n + 1, c) for i, c in w.decorations)
-    return DecoratedPermutation(images, dec)
+    """cyc(w)(i) = w(i-1) + 1 with both index and value wrapped modulo n;
+    a fixed point at n wraps to 1, so the decorations are sorted again."""
+    images, dec = w
+    n = len(images)
+    images = tuple(v % n + 1 for v in images[-1:] + images[:-1])
+    dec = tuple(sorted((i % n + 1, c) for i, c in dec))
+    return tuple.__new__(DecoratedPermutation, (images, dec))
 
 
 # -- trip permutations -------------------------------------------------------------

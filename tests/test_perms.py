@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import os
+import pickle
 import random
 from collections import Counter
 
@@ -52,7 +54,24 @@ def test_decorated_permutation_validation():
     with pytest.raises(ValueError):
         DecoratedPermutation((1, 3, 2), ((1, "grey"),))
     w = DecoratedPermutation((1, 3, 2), ((1, "white"),))
-    assert w.decoration(1) == "white"
+    assert w.decorations == ((1, "white"),)
+
+
+@pytest.mark.parametrize(
+    "images, decorations",
+    [((2.0, 1.0), ()), ((True,), ((1, "white"),)), ((1,), ((True, "white"),)), (("1",), ())],
+)
+def test_letters_must_be_ints(images, decorations):
+    # 2.0 == 2 and True == 1, so only the type check refuses these.
+    with pytest.raises(ValueError, match="letters must be ints"):
+        DecoratedPermutation(images, decorations)
+
+
+def test_a_permutation_is_its_pair():
+    w = DecoratedPermutation([2, 1, 3], [(3, "white")])
+    assert w == ((2, 1, 3), ((3, "white"),)) and type(w.images) is tuple
+    assert w in {DecoratedPermutation((2, 1, 3), ((3, "white"),))}
+    assert pickle.loads(pickle.dumps(w)) == w and copy.copy(w) == w
 
 
 def test_rendering_markers():
@@ -60,7 +79,7 @@ def test_rendering_markers():
     assert w.to_text() == "(_1,3,2)"
     v = DecoratedPermutation((2, 1, 3), ((3, "white"),))
     assert v.to_text() == "(2,1,^3)"
-    assert v.to_json() == {"images": [2, 1, 3], "decorations": {"3": "white"}}
+    assert v.images == (2, 1, 3) and v.decorations == ((3, "white"),)
 
 
 def test_trip_permutations_of_trivalent_stars():
@@ -79,7 +98,7 @@ def test_trip_permutation_decorates_leaves():
     G = (((1,), 0), ((2,), 1), ((3, 4), None))
     w = trip_permutation(G)
     assert w.images == (1, 2, 4, 3)
-    assert w.decoration(1) == "black" and w.decoration(2) == "white"
+    assert w.decorations == ((1, "black"), (2, "white"))
 
 
 def test_trip_walk_stops_on_a_malformed_component():
@@ -139,6 +158,10 @@ def test_cyclic_rotation_examples():
     rotated = cyclic_rotation(w)
     assert rotated.images == (1, 3, 2)
     assert rotated.decorations == ((1, "black"),)
+    # The fixed point at n wraps to 1 and must come first again.
+    ends = DecoratedPermutation((1, 3, 2, 4), ((1, "black"), (4, "white")))
+    assert cyclic_rotation(ends).decorations == ((1, "white"), (2, "black"))
+    assert cyclic_rotation(ends) == DecoratedPermutation((1, 2, 4, 3), ((2, "black"), (1, "white")))
     v = pi_perm(2, 5)
     out = v
     for _ in range(5):
@@ -328,3 +351,31 @@ def test_closure_sizes_are_the_series_coefficients_at_y_q_one(kind, closure, max
     series = series_for(kind, max_n)
     for n in range(1, max_n + 1):
         assert len(sets[n]) == series[n].eval_q(1).eval_y(1).constant_coefficient(), n
+
+
+@pytest.mark.parametrize(
+    "closure, max_n",
+    [
+        pytest.param(closure, n, id=f"{closure.__name__}-{n}", marks=marks)
+        for _, closure in CLOSURES
+        for n, marks in ((7, ()), (8, pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1")))
+    ],
+)
+def test_closure_members_pass_the_constructor(closure, max_n):
+    # The closure operations skip validation; this is what makes that safe.
+    for found in closure(max_n).values():
+        for w in found:
+            assert type(w) is DecoratedPermutation and w == DecoratedPermutation(*w), w
+
+
+def test_the_closures_validate_only_the_stars(monkeypatch):
+    made = []
+    new = DecoratedPermutation.__new__
+
+    def counted(cls, *args):
+        made.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(DecoratedPermutation, "__new__", staticmethod(counted))
+    grass_forest_permutation_sets(6)
+    assert len(made) == 2 + sum(range(1, 6))  # pi_perm(k, m) for 1 <= k < m
