@@ -7,16 +7,22 @@ dimension r in the coefficient [x^n y^k q^r]:
 * Grassmannian trees / forests (generic vertices allowed).
 
 Each tree series is x(1 + y + yq C^<-1>) for an explicit rational
-function C(x, y, q); each forest series is obtained from the matching
-tree series by a second compositional inversion, with an independent
-Lagrange-inversion route (`forest_gf_via_lagrange`) kept for
-cross-validation.  `verify_algebraic_relation` checks the computed
-series against transcribed polynomial relations stored in data/.
+function C = x N(x) / D(x).  Neither C nor any series is inverted: the
+inverse u = C^<-1> solves the polynomial equation u N(u) = x D(u), and the
+forest series H is 1/(1 - x(1+y) - xyq v), where v solves
+v N(v) (1 - x(1+y) - xyq v) = x D(v), so the forest needs no tree series.
+`series.algebraic_root` solves each equation order by order (Flajolet and
+Sedgewick, *Analytic Combinatorics*, VII.6).  The paper's route, a second
+compositional inversion of x / (1 + G_tree), is Speicher's transform in
+`transforms`, which the tests compare with these builds.  An independent
+Lagrange-inversion route (`forest_gf_via_lagrange`) and the transcribed
+polynomial relations stored in data/ (`verify_algebraic_relation`) check
+the forest series with another kernel.
 
-Every coefficient is an integer throughout: the two reciprocals, of the
-denominator of C and of 1 + G_tree, invert x^0 coefficients of 1, the
-Lagrange route's division by n + 1 is checked exact, and the relation
-loader refuses a transcribed term that is not an integer.
+Every coefficient is an integer throughout: each equation's linear
+coefficient is 1, the reciprocal of 1 - x(1+y) - xyq v inverts an x^0
+coefficient of 1, the Lagrange route's division by n + 1 is checked exact,
+and the relation loader refuses a transcribed term that is not an integer.
 
 Truncated coefficients never change as a series grows, so both caches
 here only grow: `series_for` keeps the longest series of each kind, and
@@ -34,9 +40,8 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-from . import transforms
-from .ring import ONE, BivarPoly, Q, Y, dot
-from .series import TruncSeries, power_coefficient
+from .ring import ONE, ZERO, BivarPoly, Q, Y, dot
+from .series import TruncSeries, algebraic_root, power_coefficient
 
 DEFAULT_ORDER = 14
 
@@ -69,34 +74,65 @@ class GFKind(Enum):
         return GFKind.PLABIC_TREE if self.is_plabic else GFKind.GRASS_TREE
 
 
-@lru_cache(maxsize=None)
-def build_C(kind: GFKind, order: int) -> TruncSeries:
-    """The rational function whose compositional inverse drives the tree series.
+def _times_linear(factors):
+    """The coefficient list in x of the product of (1 + a x) over the factors a."""
+    out = [ONE]
+    for a in factors:
+        out = [c + a * d for c, d in zip([*out, ZERO], [ZERO, *out])]
+    return out
 
-    plabic:        x (1 - q^2 x^2 y) / ((1+xq)(1+xyq))
-    Grassmannian:  x (1 - x(1+y)q^2 - x^2 y q^2 (1+q-q^2) - x^4 y^2 q^5 (1+q))
-                   / ((1+xq)(1+xyq)(1-xq^2)(1-xyq^2))
+
+def _parts(kind: GFKind):
+    """N, D and D_minus, as coefficient lists in x, for C = x N(x) / D(x);
+    D_minus is the product of D's factors (1 + a x) whose a has a minus sign.
+
+    plabic:        N = 1 - q^2 x^2 y,  D = (1+xq)(1+xyq),  D_minus = 1
+    Grassmannian:  N = 1 - x(1+y)q^2 - x^2 y q^2 (1+q-q^2) - x^4 y^2 q^5 (1+q),
+                   D = (1+xq)(1+xyq) D_minus,  D_minus = (1-xq^2)(1-xyq^2)
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    kind = kind.tree_kind
     yq = Y * Q
     q2 = Q * Q
-    if kind is GFKind.PLABIC_TREE:
-        num = {1: ONE, 3: -(q2 * Y)}
-        factors = (Q, yq)
+    if kind.is_plabic:
+        N = [ONE, ZERO, -(q2 * Y)]
+        minus = ()
     else:
-        num = {
-            1: ONE,
-            2: -((1 + Y) * q2),
-            3: -(Y * q2 * (1 + Q - q2)),
-            5: -(Y * Y * Q**5 * (1 + Q)),
-        }
-        factors = (Q, yq, -q2, -(Y * q2))
-    den = TruncSeries.one(order)  # the product of (1 + a x) over the factors a
-    for a in factors:
-        den = den * TruncSeries.from_dict({0: ONE, 1: a}, order)
-    return TruncSeries.from_dict(num, order) / den
+        N = [ONE, -((1 + Y) * q2), -(Y * q2 * (1 + Q - q2)), ZERO, -(Y * Y * Q**5 * (1 + Q))]
+        minus = (-q2, -(Y * q2))
+    return N, _times_linear((Q, yq, *minus)), _times_linear(minus)
+
+
+@lru_cache(maxsize=None)
+def build_C(kind: GFKind, order: int) -> TruncSeries:
+    """The rational function x N(x) / D(x) whose compositional inverse
+    drives the tree series (`_parts` gives N and D)."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    N, D, _ = _parts(kind)
+    return TruncSeries([ZERO, *N], order) / TruncSeries(D, order)
+
+
+def _equation(kind: GFKind):
+    """(c0, c1) of the kind's equation sum_j (c0[j] + x c1[j]) v^j = 0.
+
+    Tree: u = C^<-1> solves u N(u) = x D(u), and the tree series is
+    x(1 + y + yq u).  Forest: with H the forest series, v = u(xH) solves
+    v N(v) (1 - x(1+y) - xyq v) = x D(v), and H = 1/(1 - x(1+y) - xyq v)."""
+    N, D, _ = _parts(kind)
+    c0 = [ZERO, *N]  # v N(v)
+    c1 = [-d for d in D]
+    if kind.is_forest:
+        c1 += [ZERO] * (len(c0) + 1 - len(D))
+        for j, c in enumerate(c0):
+            c1[j] -= (1 + Y) * c
+            c1[j + 1] -= Y * Q * c
+    return c0, c1
+
+
+def _root(kind: GFKind, order: int) -> TruncSeries:
+    """The root of the kind's `_equation` to the given order.  Divided by
+    D_minus(v), the equation's coefficients cancel far less in sign, so its
+    majorant sizes the slots close to the coefficients' norms."""
+    return algebraic_root(*_equation(kind), order, _parts(kind)[2])
 
 
 # The builders keep their own caches only so that a direct caller does not
@@ -106,20 +142,20 @@ def build_tree_gf(kind: GFKind, order: int) -> TruncSeries:
     """Tree generating function x(1 + y + yq C^<-1>) to the given order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    kind = kind.tree_kind
-    if order == 1:
-        return TruncSeries.from_dict({1: 1 + Y}, 1)
-    inverse = build_C(kind, order - 1).reversion()
-    return (Y * Q * inverse + (1 + Y)).shift_up(1)
+    u = _root(kind.tree_kind, order - 1)
+    return (Y * Q * u + (1 + Y)).shift_up(1)
 
 
 @lru_cache(maxsize=2)
 def build_forest_gf(kind: GFKind, order: int) -> TruncSeries:
-    """Forest generating function: the Speicher transform of 1 + G_tree, so
-    that x G_forest = (x / (1 + G_tree))^<-1>."""
+    """Forest generating function 1/(1 - x(1+y) - xyq v), where v solves the
+    forest equation of `_equation`."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return transforms.speicher_transform(1 + series_for(kind.tree_kind, order))
+    if kind.is_tree:
+        raise ValueError("build_forest_gf builds the forest kinds")
+    v = _root(kind, order - 1)
+    return TruncSeries.one(order) / (1 - (Y * Q * v + (1 + Y)).shift_up(1))
 
 
 _longest: dict = {}  # GFKind -> the longest series of that kind built so far
@@ -155,8 +191,8 @@ def _tree_power(kind: GFKind, n: int) -> BivarPoly:
 def forest_gf_via_lagrange(kind: GFKind, n: int, order: int | None = None) -> dict:
     """[x^n] of the forest series by the binomial-power route.
 
-    Uses [x^n] G_forest = (1/(n+1)) [x^n] (1 + G_tree)^(n+1), bypassing the
-    second reversion entirely.  `order`, if given, is a cap that n must not
+    Uses [x^n] G_forest = (1/(n+1)) [x^n] (1 + G_tree)^(n+1), which needs
+    neither the forest equation nor any inverse.  `order`, if given, is a cap that n must not
     exceed.  Returns {(k, r): count}.
     """
     if kind.is_tree:

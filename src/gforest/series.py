@@ -17,21 +17,29 @@ Coefficients are `BivarPoly`s over the integers, and each operation
 inverts one coefficient, which must be 1 or -1, its own inverse: the x^0
 coefficient of a divisor or of the base of a power (else
 `NonUnitConstantTerm`), the x^1 coefficient of a series inverted
-compositionally (else `NotInvertible`).  The check comes before any
-coefficient is computed, so whether an operation succeeds never depends
-on the values of the other coefficients, and every result has integer
-coefficients.  Both reciprocals the generating functions need, of the
-denominator of C and of 1 + G_tree, have x^0 coefficient 1.
+compositionally or the linear coefficient of an algebraic equation (else
+`NotInvertible`).  The check comes before any coefficient is computed, so
+whether an operation succeeds never depends on the values of the other
+coefficients, and every result has integer coefficients.  The reciprocals
+the generating functions need, of the denominator of C and of
+1 - x(1+y) - xyq v, have x^0 coefficient 1.
 
-The product, the quotient and the reversion each run their whole
-recurrence on Kronecker-packed ints: each input coefficient is packed once
-(`ring.pack`), and each output coefficient unpacked once (`ring.unpack`),
-as balanced base-2^b digits.  The slot width b comes from the same
+`algebraic_root` gives the root v = O(x) of a polynomial equation
+sum_j (c0[j] + x c1[j]) v^j = 0 order by order: each new coefficient is a
+dot over the powers of v already known, O(d n^2) coefficient products for
+degree d against the reversion's O(n^3).
+
+The product, the quotient, the reversion and the algebraic root each run
+their whole recurrence on Kronecker-packed ints: each input coefficient is
+packed once (`ring.pack`), and each output coefficient unpacked once
+(`ring.unpack`), as balanced base-2^b digits.  The slot width b comes from the same
 recurrence run on the inputs' l1 norms with every sign positive, a Cauchy
 majorant of each output coefficient, and the q-stride from the same
-recurrence run in (max, +) on q-degrees.  `power_coefficient`, and so
+recurrence run in (max, +) on q-degrees.  The algebraic root may take its
+majorant from the equation divided by a polynomial in v, which has the same
+root and far less cancellation of signs.  `power_coefficient`, and so
 `lagrange_coefficient`, stays on `ring.dot`, one call per coefficient, so
-that the Lagrange route checks the reversion with an independent kernel.
+that the Lagrange route checks the packed builds with an independent kernel.
 """
 
 from __future__ import annotations
@@ -129,17 +137,48 @@ def _reversion(ops, f):
     return g
 
 
-def _packed(recurrence, *inputs):
+def _algebraic(ops, c0, c1, n):
+    """v_0 .. v_n of the root v of sum_j (c0[j] + x c1[j]) v^j = 0 with
+    v_0 = c0[0] = 0, where c0[1] = u is 1 or -1.
+
+    v_1 = -u c1[0] and, for m >= 2,
+        v_m = -u (sum_{j>=2} c0[j] [x^m] v^j + sum_{j>=1} c1[j] [x^(m-1)] v^j),
+    where [x^m] v^j = sum_{i>=1} v_i [x^(m-i)] v^(j-1) needs only
+    v_1 .. v_(m-1), and vanishes for j > m."""
+    u, d = c0[1], max(len(c0), len(c1)) - 1
+    v = [c0[0], ops.minus(ops.times(u, c1[0]))][: n + 1]
+    powers = [None, v]  # powers[j][m] = [x^m] v^j, filled for j <= m <= the last v_m
+    for m in range(2, n + 1):
+        if m <= d:
+            powers.append([None] * (n + 1))
+        for j in range(2, len(powers)):
+            powers[j][m] = ops.dot(v[1 : m - j + 2], powers[j - 1][m - 1 : j - 2 : -1])
+        s = ops.plus(
+            ops.dot(c0[2:], [row[m] for row in powers[2:]]),
+            ops.dot(c1[1:], [row[m - 1] for row in powers[1:m]]),
+        )
+        v.append(ops.minus(ops.times(u, s)))
+    return v
+
+
+def _norms(cs):
+    return [c.norm() for c in cs]
+
+
+def _packed(recurrence, *inputs, bounds=None):
     """The output coefficients of `recurrence` on the input coefficient
     sequences, computed on ints: each input coefficient is packed once and
     each output coefficient unpacked once.
 
-    The majorant run and the inputs' norms size the slots, the (max, +) run
-    and the inputs' q-degrees the stride.  Packing is a ring homomorphism,
-    so nothing else has to fit: the intermediate ints are never unpacked."""
-    norms = [[c.norm() for c in cs] for cs in inputs]
+    The inputs' norms and `bounds` on the outputs' norms, by default the
+    majorant run, size the slots; the (max, +) run and the inputs' q-degrees
+    size the stride.  Packing is a ring homomorphism, so nothing else has to
+    fit: the intermediate ints are never unpacked."""
+    norms = [_norms(cs) for cs in inputs]
     degrees = [[c.q_degree() if c else _NO_TERMS for c in cs] for cs in inputs]
-    width = slot_width(max(chain(recurrence(_MAJORANT, *norms), *norms)))
+    if bounds is None:
+        bounds = recurrence(_MAJORANT, *norms)
+    width = slot_width(max(chain(bounds, *norms)))
     stride = 1 + max(chain([0], recurrence(_DEGREES, *degrees), *degrees))
     packed = [[pack(c, width, stride) for c in cs] for cs in inputs]
     return [unpack(v, width, stride) for v in recurrence(_INTS, *packed)]
@@ -325,6 +364,38 @@ class TruncSeries:
 
     def eval_y(self, v) -> "TruncSeries":
         return self.map_coefficients(lambda c: c.eval_y(v))
+
+
+def algebraic_root(c0, c1, order: int, divisor=(1,)) -> TruncSeries:
+    """The root v = O(x) of sum_j (c0[j] + x c1[j]) v^j = 0 to the given
+    order, for coefficient lists c0 and c1 (polynomials in y and q).
+
+    Needs c0[0] = 0 and 1 or -1 as c0[1], the linear coefficient, as
+    `reversion` needs of its x^1 coefficient; `_algebraic` gives the
+    recurrence, one `dot` per power of v and order.
+
+    The root also solves the equation divided by `divisor`(v), a polynomial
+    in v with constant term 1, whose coefficients are then series in v.  The
+    majorant run on that equation sizes the slots: a divisor made of the
+    factors whose signs cancel against the rest tightens it."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    c0, c1 = [as_poly(c) for c in c0], [as_poly(c) for c in c1]
+    if len(c0) < 2 or c0[0] or not c1:
+        raise NotInvertible("the equation needs c0[0] = 0, a linear term and a c1")
+    _unit(c0[1], NotInvertible, "v^1")
+    e = TruncSeries(divisor, order + 1)
+    if not e[0].is_one():
+        raise ValueError("the divisor needs the constant term 1")
+
+    def run(ops, a, b):
+        return _algebraic(ops, a, b, order)
+
+    bounds = None  # the majorant run of the equation itself
+    if any(e.coefficients()[1:]):
+        quotients = [(TruncSeries(cs, order + 1) / e).coefficients() for cs in (c0, c1)]
+        bounds = run(_MAJORANT, *map(_norms, quotients))
+    return TruncSeries(_packed(run, c0, c1, bounds=bounds), order)
 
 
 def power_coefficient(f: TruncSeries, e: int, m: int) -> BivarPoly:

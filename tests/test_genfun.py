@@ -28,7 +28,9 @@ from gforest.genfun import (
 from gforest.oracle import count_by_statistics
 from gforest.ring import ONE, BivarPoly, Q, Y
 from gforest.series import TruncSeries
-from gforest.transforms import tree_transform, vertex_weight_series
+from gforest.transforms import speicher_transform, tree_transform, vertex_weight_series
+
+EXTENDED = os.environ.get("GFOREST_EXTENDED") == "1"
 
 ROW_4_2 = "q^4+4q^3+10q^2+12q+6"
 ROW_6_3 = "q^8+15q^7+54q^6+114q^5+180q^4+215q^3+180q^2+90q+20"
@@ -88,6 +90,26 @@ def test_tree_gf_matches_transform_route(kind):
     h = tree_transform(_vertex_weights(kind, order))
     direct = build_tree_gf(kind, order)
     assert (Y * Q * h + TruncSeries.from_dict({1: 1 + Y}, order)) == direct
+
+
+@pytest.mark.parametrize("kind", [GFKind.PLABIC_TREE, GFKind.GRASS_TREE])
+def test_equation_builds_match_the_reversion_routes(kind):
+    # The paper's routes: the tree series by reverting C, and the forest
+    # series by a second reversion, Speicher's noncrossing form of the
+    # Exponential Formula.  Truncated coefficients are exact, so the routes
+    # at the top order give them at every lower one.
+    top = 26 if EXTENDED else 20
+    tree = (Y * Q * build_C(kind, top - 1).reversion() + (1 + Y)).shift_up(1)
+    forest = speicher_transform(1 + tree)
+    forest_kind = GFKind.PLABIC_FOREST if kind.is_plabic else GFKind.GRASS_FOREST
+    for n in range(1, top + 1):
+        assert build_tree_gf(kind, n) == tree.truncate(n), n
+        assert build_forest_gf(forest_kind, n) == forest.truncate(n), n
+
+
+def test_forest_builder_refuses_tree_kinds():
+    with pytest.raises(ValueError):
+        build_forest_gf(GFKind.GRASS_TREE, 4)
 
 
 # -- tree series ---------------------------------------------------------------
@@ -196,7 +218,6 @@ SERIES_SHA256 = {
     20: "f05cda776aeab60f8ea3ddf6cc9c0e8f794d2469f188a28776cd3e81b17854a4",
     26: "86aa617e955b7c11385880d584c93e087e44d4398381cfd6e128ce99f8b5025d",
 }
-EXTENDED = os.environ.get("GFOREST_EXTENDED") == "1"
 
 
 @pytest.mark.parametrize(
@@ -370,10 +391,10 @@ def test_series_cache_grows_with_one_build(kind, builds):
     builds.clear()
     grown = series_for(kind, 7)
     assert grown.order == 7
-    assert builds == [(kind, 7)] + ([(kind.tree_kind, 7)] if kind.is_forest else [])
+    assert builds == [(kind, 7)]  # a forest is built without its tree
     series_for(kind, 7)
     series_for(kind, 6)
-    assert len(builds) == (2 if kind.is_forest else 1)
+    assert builds == [(kind, 7)]
 
 
 @pytest.mark.parametrize("kind", list(GFKind))

@@ -1,16 +1,19 @@
+import math
 import random
+from operator import add, mul, neg
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gforest import series
+from gforest import genfun, series
 from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot
 from gforest.series import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
     NotInvertible,
     TruncSeries,
+    algebraic_root,
     lagrange_coefficient,
     power_coefficient,
 )
@@ -280,6 +283,8 @@ def test_non_unit_constants_are_refused_before_any_coefficient(monkeypatch, c):
         S([0, c, 1, 1]).reversion()
     with pytest.raises(NotInvertible):
         lagrange_coefficient(S([0, c, 1, 1]), 3, 1)
+    with pytest.raises(NotInvertible):
+        algebraic_root([0, c, 1], [-1, 1], 3)
 
 
 # -- the packed kernels against the dict kernel ------------------------------------
@@ -355,3 +360,76 @@ def test_shift_down_requires_divisibility():
     with pytest.raises(ValueError):
         S([1, 2, 3]).shift_down(1)
     assert S([0, 2, 3]).shift_down(1) == S([2, 3])
+
+
+# -- the root of an algebraic equation -----------------------------------------------
+
+
+def test_algebraic_root_gives_the_catalan_numbers():
+    # v = x (1 + v)^2, with the linear coefficient 1 or -1
+    for c0, c1 in (([0, 1], [-1, -2, -1]), ([0, -1], [1, 2, 1])):
+        v = algebraic_root(c0, c1, 12)
+        assert consts(v) == [0] + [math.comb(2 * m, m) // (m + 1) for m in range(1, 13)]
+    assert algebraic_root([0, 1], [-1, -2, -1], 0) == S([0])
+
+
+def test_algebraic_root_preconditions():
+    with pytest.raises(NotInvertible):
+        algebraic_root([1, 1], [-1], 3)  # no root without a constant term
+    with pytest.raises(NotInvertible):
+        algebraic_root([0], [-1], 3)  # no linear term
+    with pytest.raises(NotInvertible):
+        algebraic_root([0, 1], [], 3)
+    with pytest.raises(ValueError):
+        algebraic_root([0, 1], [-1], -1)
+
+
+def test_algebraic_root_divisor_needs_the_constant_term_one():
+    for e in ([2, 1], [-1, 1], [Y, 1], [0, 1]):
+        with pytest.raises(ValueError):
+            algebraic_root([0, 1], [-1, -2, -1], 4, e)
+
+
+@given(
+    UNITS.flatmap(lambda u: wide_series(min_order=1, head=[0, u])),
+    wide_series(head=[1]).map(TruncSeries.coefficients),
+)
+@example(S([0, -1]), [1])  # order 1, u = -1
+@example(S([0, 1, BIG, 0, 0, 0]), [1])  # far below its majorant
+@example(S([0, 1, BIG, 0, 0, 0]), [1, -BIG])  # the divisor takes the x^2 term out
+@settings(max_examples=30, deadline=None)
+def test_algebraic_root_of_f_minus_x_is_the_reversion(f, divisor):
+    # f(v) - x = 0 is solved by the compositional inverse of f, and so is the
+    # equation divided by any divisor with constant term 1.
+    assert algebraic_root(f.coefficients(), [-1], f.order, divisor) == f.reversion()
+
+
+# `_algebraic` run on the dict kernel, one `ring.dot` per sum.
+_POLYS = series._Ops(lambda xs, ys: dot(zip(xs, ys)), mul, add, neg)
+
+
+@pytest.mark.parametrize("kind", list(genfun.GFKind))
+def test_algebraic_recurrence_on_polys_equals_the_packed_run(kind):
+    c0, c1 = genfun._equation(kind)
+    n = 16
+    v = series._algebraic(_POLYS, c0, c1, n)
+    assert list(algebraic_root(c0, c1, n).coefficients()) == v
+    norms = series._algebraic(series._MAJORANT, series._norms(c0), series._norms(c1), n)
+    assert all(c.norm() <= bound for c, bound in zip(v, norms))
+
+
+@pytest.mark.parametrize("kind", list(genfun.GFKind))
+def test_dividing_by_D_minus_tightens_the_majorant(kind):
+    # The equation divided by D_minus(v) has the same root; its majorant
+    # still bounds every coefficient's norm, and by far less for the
+    # Grassmannian kinds, where D_minus is not 1.
+    c0, c1 = genfun._equation(kind)
+    e = TruncSeries(genfun._parts(kind)[2], 17)
+    quotients = [(TruncSeries(cs, 17) / e).coefficients() for cs in (c0, c1)]
+    v = algebraic_root(c0, c1, 16).coefficients()
+    plain = series._algebraic(series._MAJORANT, *map(series._norms, (c0, c1)), 16)
+    divided = series._algebraic(series._MAJORANT, *map(series._norms, quotients), 16)
+    assert all(c.norm() <= bound for c, bound in zip(v, divided))
+    assert max(divided).bit_length() <= max(c.norm() for c in v).bit_length() + 1
+    if not kind.is_plabic:
+        assert max(plain).bit_length() > max(divided).bit_length() + 12
