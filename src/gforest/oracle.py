@@ -335,23 +335,24 @@ def contractible_edges(G):
 
     `path` is the tuple of child positions (1-based within each node tuple)
     leading from the component root to the child endpoint of the edge.  One
-    walk over each tree compares every vertex's colour with its children's.
+    walk over each tree compares every vertex's colour, passed down, with
+    its children's, so each colour is computed once.
     """
     out = []
 
-    def walk(ci, node, path):
-        color = vertex_color(node[0], len(node))
+    def walk(ci, node, color, path):
         for i in range(1, len(node)):
             child = node[i]
             if child is not None:
                 edge = path + (i,)
-                if color is not None and vertex_color(child[0], len(child)) == color:
+                child_color = vertex_color(child[0], len(child))
+                if color is not None and child_color == color:
                     out.append((ci, edge))
-                walk(ci, child, edge)
+                walk(ci, child, child_color, edge)
 
     for ci, (block, dec) in enumerate(G):
         if len(block) > 2:
-            walk(ci, dec, ())
+            walk(ci, dec, vertex_color(dec[0], len(dec)), ())
     return out
 
 

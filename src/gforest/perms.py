@@ -10,9 +10,12 @@ exactly the permutations arising from trees, and direct sum and rotation
 take those to the permutations of forests.  Both closures are built one
 size at a time, each size from the finished sets of smaller sizes.
 A DecoratedPermutation is the pair (images, decorations) and equals it.
-Only its constructor validates: the operations slice and shift the image
-tuples of valid operands into valid results, built with tuple.__new__,
-and the tests check every closure member against the constructor.
+Only its constructor validates.  The operations slice and shift the image
+tuples of valid operands into valid results, and trip_permutation walks a
+forest it has checked (blocks, helicities, leaf counts) into one; all of
+them build the result with tuple.__new__, and the tests check every
+closure member and every trip permutation through n = 7 against the
+constructor.
 """
 
 from __future__ import annotations
@@ -156,74 +159,68 @@ def trip_permutation(G) -> DecoratedPermutation:
     """Decorated permutation of a decorated forest via the rules of the road.
 
     Fixed points come exactly from single-leaf components and are coloured
-    black when the leaf has h = 0, white when h = 1.
+    black when the leaf has h = 0, white when h = 1.  A component of three
+    or more leaves becomes a step table over the half-edges arriving at its
+    vertices (see _steps), and each trip follows it until it leaves at the
+    boundary.  The table is injective and no arrival from the boundary has
+    a preimage, so every trip ends; with 0 < h < deg no trip turns back
+    along an edge, so on a tree none ends where it started.
+    Raises ValueError when the blocks do not partition [n], a tree's leaves
+    do not match its block, a vertex has h outside 1 .. deg - 1, or a
+    single leaf has h outside {0, 1}.
     """
-    n = sum(len(block) for block, _ in G)
-    images = {}
+    labels = [p for block, _ in G for p in block]
+    n = len(labels)
+    if sorted(labels) != list(range(1, n + 1)) or not set(map(type, labels)) <= {int}:
+        raise ValueError(f"the blocks of {G} do not partition [{n}]")
+    images = [0] * n
     decorations = []
     for block, dec in G:
         if len(block) == 1:
-            b = block[0]
-            images[b] = b
-            decorations.append((b, WHITE if dec == 1 else BLACK))
+            if dec not in (0, 1):
+                raise ValueError(f"leaf {block[0]} has helicity {dec}, not 0 or 1")
+            images[block[0] - 1] = block[0]
+            decorations.append((block[0], WHITE if dec == 1 else BLACK))
         elif len(block) == 2:
             a, b = block
-            images[a] = b
-            images[b] = a
+            images[a - 1] = b
+            images[b - 1] = a
         else:
-            nodes, boundary = _component_graph(block, dec)
-            limit = 4 * sum(len(p) for _, p in nodes)
-            for label, (nid, port) in boundary.items():
-                images[label] = _walk(nodes, nid, port, limit)
-    return DecoratedPermutation(
-        tuple(images[i] for i in range(1, n + 1)), tuple(decorations)
-    )
+            step, starts = [], [0]
+            _steps(dec, ~0, step, starts)
+            if len(starts) != len(block):
+                raise ValueError(f"a tree with {len(starts) - 1} leaves on block {block}")
+            for p, a in zip(block, starts):
+                while a >= 0:
+                    a = step[a]
+                images[p - 1] = block[~a]
+    decorations.sort()
+    return tuple.__new__(DecoratedPermutation, (tuple(images), tuple(decorations)))
 
 
-def _component_graph(block, dec):
-    """Explicit port lists for the walk.
+def _steps(node, back, step, starts):
+    """Append to `step` the half-edges arriving at the vertices of `node`'s
+    subtree, numbered consecutively per vertex from its parent edge (port 0)
+    clockwise through its children, and return the number of port 0.
 
-    Each internal vertex gets its edges in clockwise order: parent edge
-    first, then children left to right.
+    step[a] is where the walk goes from arrival a: another arrival, or ~p
+    when it leaves at boundary position p of the block (0 the root's edge,
+    then the leaves left to right).  `back` is that target for port 0, and
+    starts[p] collects the arrival from position p.
     """
-    labels = iter(block[1:])
-    nodes = []  # (helicity, [refs]); ref = ("b", label) or ("v", nid, back_port)
-    boundary = {}
-
-    def build(node, parent_ref):
-        nid = len(nodes)
-        ports = [parent_ref]
-        nodes.append((node[0], ports))
-        for child in node[1:]:
-            port = len(ports)
-            if child is None:
-                label = next(labels)
-                ports.append(("b", label))
-                boundary[label] = (nid, port)
-            else:
-                ports.append(None)
-                cid = build(child, ("v", nid, port))
-                ports[port] = ("v", cid, 0)
-        return nid
-
-    root = build(dec, ("b", block[0]))
-    boundary[block[0]] = (root, 0)
-    return nodes, boundary
-
-
-def _walk(nodes, nid, port, limit):
-    """The boundary label the trip from (nid, port) reaches; more than
-    `limit` steps means the component is malformed."""
-    steps = 0
-    while True:
-        h, ports = nodes[nid]
-        ref = ports[(port + h) % len(ports)]
-        if ref[0] == "b":
-            return ref[1]
-        _, nid, port = ref
-        steps += 1
-        if steps > limit:
-            raise RuntimeError("trip failed to terminate; malformed component")
+    h, deg, base = node[0], len(node), len(step)
+    if not 0 < h < deg:
+        raise ValueError(f"a vertex of degree {deg} has helicity {h}")
+    step.extend(node)  # reserve this vertex's slots ahead of its subtrees'
+    targets = [back]
+    for i in range(1, deg):
+        if node[i] is None:
+            targets.append(~len(starts))
+            starts.append(base + i)
+        else:
+            targets.append(_steps(node[i], base + i, step, starts))
+    step[base : base + deg] = targets[h:] + targets[:h]
+    return base
 
 
 # -- pattern avoidance ---------------------------------------------------------------

@@ -41,6 +41,8 @@ BLACK_STAR3 = ((tuple(range(1, 4)), (2, None, None)),)
 
 LARGE_SCHROEDER = [1, 2, 6, 22, 90, 394, 1806]
 
+EXTENDED = os.environ.get("GFOREST_EXTENDED") == "1"
+
 
 def test_decorated_permutation_validation():
     with pytest.raises(ValueError):
@@ -99,14 +101,59 @@ def test_trip_permutation_decorates_leaves():
     w = trip_permutation(G)
     assert w.images == (1, 2, 4, 3)
     assert w.decorations == ((1, "black"), (2, "white"))
+    # Singleton blocks out of order still give sorted decorations.
+    w = trip_permutation((((2,), 0), ((1,), 1), ((3, 4, 5), (1, None, None))))
+    assert w == DecoratedPermutation(*w) == ((1, 2, 4, 5, 3), ((1, "white"), (2, "black")))
 
 
-def test_trip_walk_stops_on_a_malformed_component():
-    from gforest.perms import _walk
+@pytest.mark.parametrize(
+    "G, match",
+    [
+        ((((1, 2, 3), (0, None, None)),), "helicity 0"),
+        ((((1, 2, 3), (3, None, None)),), "helicity 3"),
+        ((((1, 2, 3, 4), (1, None, (0, None, None))),), "helicity 0"),
+        ((((1, 2, 3), (1, None, None)), ((3,), 0)), "partition"),  # duplicated label
+        ((((0, 1), None),), "partition"),
+        ((((1, 3), None),), "partition"),
+        ((((1.0, 2), None),), "partition"),
+        ((((1,), 2),), "leaf 1 has helicity 2"),
+        ((((1, 2, 3), (1, None, None, None)),), "3 leaves"),
+        ((((1, 2, 3, 4), (1, None, None)),), "2 leaves"),
+    ],
+)
+def test_trip_permutation_refuses_malformed_forests(G, match):
+    with pytest.raises(ValueError, match=match):
+        trip_permutation(G)
 
-    looping = [(1, [("v", 0, 0)])]  # the only port leads back to itself
-    with pytest.raises(RuntimeError, match="terminate"):
-        _walk(looping, 0, 0, limit=4)
+
+@pytest.mark.parametrize(
+    "n",
+    list(range(1, 8))
+    + [pytest.param(8, marks=pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1"))],
+)
+def test_trip_permutations_pass_the_constructor(n):
+    # trip_permutation builds its result without the constructor; this is
+    # what makes that safe.  Contracted forests are among these.
+    for F in enumerate_forests(n):
+        for G in decorate_grassmannian(F, contracted_only=False):
+            w = trip_permutation(G)
+            assert type(w) is DecoratedPermutation and w == DecoratedPermutation(*w), G
+
+
+# sha256 over repr(trip_permutation(G)) for every decorated forest on
+# n <= 6 points, in enumeration order: (forests, digest).
+TRIP_PERMUTATIONS_N6 = (3549, "0eb1ec534f001dd4e368ecc9ad1058a3a2da49cdae9478fe4309465ee9831d65")
+
+
+def test_trip_permutations_are_pinned_to_n_six():
+    digest = hashlib.sha256()
+    forests = 0
+    for n in range(1, 7):
+        for F in enumerate_forests(n):
+            for G in decorate_grassmannian(F, contracted_only=False):
+                digest.update(repr(trip_permutation(G)).encode())
+                forests += 1
+    assert (forests, digest.hexdigest()) == TRIP_PERMUTATIONS_N6
 
 
 def test_antiexcedance_examples():
@@ -325,7 +372,6 @@ def test_closures_are_pinned_at_n_seven(family, closure):
     assert (len(keys), digest.hexdigest()) == CLOSURE_DIGESTS_N7[family]
 
 
-EXTENDED = os.environ.get("GFOREST_EXTENDED") == "1"
 CLOSURES = [
     (GFKind.GRASS_TREE, grass_tree_permutation_sets),
     (GFKind.GRASS_FOREST, grass_forest_permutation_sets),
