@@ -4,9 +4,11 @@ Subcommands: table, coeff, check, euler, relations, perms.  All output is
 UTF-8 and deterministic; CSV uses RFC 4180 quoting.  Exit status: 0 all
 good, 1 mathematical mismatch, 2 configuration error.
 
-A table renders each x^n coefficient after validating it once and
-splitting it by y-degree once; JSON is written directly in the layout of
-`json.dumps(rows, indent=1)`.
+A table checks each x^n coefficient once (`genfun.checked_coefficient`:
+one min and one max over its terms) and splits it by y-degree once.  Every
+format reads a row's terms in canonical order: text and LaTeX through
+`BivarPoly`'s renderer, CSV from `terms()` in one `writerows` call, and JSON
+from `terms()`, written directly in the layout of `json.dumps(rows, indent=1)`.
 """
 
 from __future__ import annotations
@@ -37,23 +39,21 @@ class ConfigError(Exception):
 def _table_rows(n_min: int, n_max: int, kind: GFKind):
     series = genfun.series_for(kind, n_max)
     for n in range(n_min, n_max + 1):
-        genfun.extract_counts(series, n)
-        parts = series[n].y_parts()
+        parts = genfun.checked_coefficient(series, n).y_parts()
         for k in range(2, n // 2 + 1):
             yield n, k, parts.get(k, ZERO)
 
 
 def _json_rows(rows) -> str:
-    """json.dumps([{"n": n, "k": k, "coefficients": poly.to_json_terms()}, ...],
-    indent=1) for the (n, k, poly) rows, written without the json encoder."""
+    """json.dumps(rows, indent=1) for the (n, k, poly) rows as {n, k, coefficients}
+    dicts, each term of `poly.terms()` as {dy, dq, num, den: 1}, without the encoder."""
     if not rows:
         return "[]"
     out = []
     for n, k, poly in rows:
         terms = [
-            f'   {{\n    "dy": {t["dy"]},\n    "dq": {t["dq"]},\n'
-            f'    "num": {t["num"]},\n    "den": {t["den"]}\n   }}'
-            for t in poly.to_json_terms()
+            f'   {{\n    "dy": {dy},\n    "dq": {dq},\n    "num": {c},\n    "den": 1\n   }}'
+            for (dy, dq), c in poly.terms()
         ]
         coefficients = "[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"
         out.append(f' {{\n  "n": {n},\n  "k": {k},\n  "coefficients": {coefficients}\n }}')
@@ -78,9 +78,7 @@ def render_table(n_min: int, n_max: int, kind: GFKind, fmt: str, order: int) -> 
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "k", "r", "count"])
-        for n, k, poly in rows:
-            for (dy, dq), c in poly.terms():
-                writer.writerow([n, k, dq, c])
+        writer.writerows((n, k, dq, c) for n, k, poly in rows for (_, dq), c in poly.terms())
         return buf.getvalue()
     return _json_rows(rows) + "\n"
 

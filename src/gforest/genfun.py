@@ -212,20 +212,25 @@ def forest_gf_via_lagrange(kind: GFKind, n: int, order: int | None = None) -> di
     return counts
 
 
-def extract_counts(series: TruncSeries, n: int) -> dict:
-    """{(k, r): count} for [x^n], asserting the counting-series sanity rules:
-    nonnegative, and y-degree within [0, n].
+def checked_coefficient(series: TruncSeries, n: int) -> BivarPoly:
+    """[x^n] after checking the counting-series sanity rules, nonnegative and
+    y-degree within [0, n], by one `min` and one `max`; only a failing rule
+    walks the terms in storage order, to name the first offending term.
+    Every coefficient is an integer already: the ring refuses a non-integer."""
+    p = series[n]
+    if p.min_coefficient() < 0 or p.y_degree() > n:
+        for (dy, dq), c in p.term_map().items():
+            if c < 0:
+                raise IntegralityViolation(f"[x^{n} y^{dy} q^{dq}] = {c} is negative")
+            if dy > n:
+                raise IntegralityViolation(f"y-degree {dy} exceeds n = {n}")
+    return p
 
-    The dict comes in storage order, not in canonical term order.  Every
-    coefficient is an integer already: the ring refuses a non-integer at
-    construction and at every division."""
-    counts = series[n].term_map()
-    for (dy, dq), c in counts.items():
-        if c < 0:
-            raise IntegralityViolation(f"[x^{n} y^{dy} q^{dq}] = {c} is negative")
-        if dy > n:
-            raise IntegralityViolation(f"y-degree {dy} exceeds n = {n}")
-    return counts
+
+def extract_counts(series: TruncSeries, n: int) -> dict:
+    """{(k, r): count} for [x^n]: `checked_coefficient`'s checks, then its
+    `term_map()`, in storage order rather than canonical term order."""
+    return checked_coefficient(series, n).term_map()
 
 
 def coefficient_poly(kind: GFKind, n: int, k: int, order: int | None = None) -> BivarPoly:
@@ -238,9 +243,7 @@ def coefficient_poly(kind: GFKind, n: int, k: int, order: int | None = None) -> 
     order = DEFAULT_ORDER if order is None else order
     if n > order:
         raise ValueError(f"n = {n} exceeds working order {order}")
-    series = series_for(kind, n)
-    extract_counts(series, n)
-    return series[n].y_coefficient(k)
+    return checked_coefficient(series_for(kind, n), n).y_coefficient(k)
 
 
 def euler_characteristic(kind: GFKind, n: int, k: int):

@@ -281,15 +281,18 @@ def vertex_mom_dimension(h: int, deg: int) -> int:
 
 
 def helicity(G) -> int:
-    """Helicity of a decorated forest: sum(h(v) - deg(v)/2) + n/2."""
+    """Helicity of a decorated forest: sum(h(v) - deg(v)/2) + n/2, summed in
+    one walk over each tree; a one-point block is a vertex of degree 1."""
     twice = 0
-    n = 0
     for block, dec in G:
-        n += len(block)
-        for h, deg in decorated_vertices((block, dec)):
-            twice += 2 * h - deg
-    assert (twice + n) % 2 == 0
-    return (twice + n) // 2
+        twice += len(block) + (2 * dec - 1 if len(block) == 1 else 0)
+        stack = [dec] if len(block) > 2 else []
+        while stack:
+            node = stack.pop()
+            twice += 2 * node[0] - len(node)
+            stack += filter(None, node[1:])  # the children that are not leaves
+    assert twice % 2 == 0
+    return twice // 2
 
 
 def tree_helicity(component) -> int:
@@ -301,17 +304,17 @@ def tree_helicity(component) -> int:
 
 
 def mom_dimension(G) -> int:
-    """Sum over component trees of their dimension statistic."""
-    return sum(_tree_mom_dimension(c) for c in G)
-
-
-def _tree_mom_dimension(component) -> int:
-    block, dec = component
-    if len(block) <= 2:
-        return len(block) - 1
-    return 1 + sum(
-        vertex_mom_dimension(h, deg) - 1 for h, deg in decorated_vertices(component)
-    )
+    """Sum over component trees of their dimension statistic, in one walk:
+    a tree of two or more leaves has 1 + sum(vertex_mom_dimension(v) - 1)."""
+    total = 0
+    for block, dec in G:
+        total += len(block) > 1
+        stack = [dec] if len(block) > 2 else []
+        while stack:
+            node = stack.pop()
+            total += vertex_mom_dimension(node[0], len(node)) - 1
+            stack += filter(None, node[1:])
+    return total
 
 
 def is_contracted(G) -> bool:

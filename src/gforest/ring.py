@@ -77,7 +77,7 @@ def unpack(v: int, width: int, stride: int) -> "BivarPoly":
 
     Adding 2^(8*width-1) in every slot makes each digit nonnegative without
     a carry, so one conversion to bytes reads them all.  The terms are
-    stored in canonical order, which `terms()` then sorts in linear time."""
+    stored in canonical order."""
     if not v:
         return _ZERO
     bits = 8 * width
@@ -101,6 +101,14 @@ def _int(c) -> int:
     if not isinstance(c, int):
         raise TypeError(f"coefficient {c!r} is not an int")
     return int(c)
+
+
+def _canonical(t) -> list:
+    """t's packed keys by dq, then dy, both descending: packed keys sort by dy
+    then dq, and a stable sort on dq alone keeps that order within each dq."""
+    keys = sorted(t, reverse=True)
+    keys.sort(key=_MASK.__and__, reverse=True)
+    return keys
 
 
 class BivarPoly:
@@ -158,16 +166,23 @@ class BivarPoly:
     def coefficient(self, dy: int, dq: int):
         return self._t.get((dy << _SHIFT) | dq, 0)
 
-    def terms(self):
-        """Iterate ((dy, dq), coeff) in canonical order: dq then dy, both descending."""
-        for key in sorted(self._t, key=lambda k: (k & _MASK, k >> _SHIFT), reverse=True):
-            yield (key >> _SHIFT, key & _MASK), self._t[key]
+    def terms(self) -> list:
+        """[((dy, dq), coeff), ...] in canonical order: dq then dy, both descending."""
+        t = self._t
+        return [((k >> _SHIFT, k & _MASK), t[k]) for k in _canonical(t)]
 
     def term_map(self) -> dict:
         return {(k >> _SHIFT, k & _MASK): c for k, c in self._t.items()}
 
     def q_degree(self) -> int:
         return max((k & _MASK for k in self._t), default=-1)
+
+    def y_degree(self) -> int:
+        return max(self._t, default=-1) >> _SHIFT  # dy sits in the high bits
+
+    def min_coefficient(self) -> int:
+        """The smallest coefficient; 0 for the zero polynomial."""
+        return min(self._t.values(), default=0)
 
     def norm(self) -> int:
         """The l1 norm: the sum of the absolute values of the coefficients."""
@@ -319,38 +334,28 @@ class BivarPoly:
 
     def to_text(self) -> str:
         """Canonical text form: terms in decreasing q-degree, e.g. q^4+4q^3+6."""
-        return self._render(sep="", power=lambda e: f"^{e}")
+        return self._render("", "^{}")
 
     def to_latex(self) -> str:
-        return self._render(sep=" ", power=lambda e: f"^{{{e}}}" if e >= 10 else f"^{e}")
+        return self._render(" ", "^{{{}}}")
 
-    def _render(self, sep, power) -> str:
-        if not self._t:
+    def _render(self, sep, wide) -> str:
+        """The terms in canonical order, factors joined by sep; an exponent of
+        10 or more is written with the `wide` format template."""
+        t = self._t
+        if not t:
             return "0"
-        parts = []
-        for (dy, dq), c in self.terms():
-            mag = c if c > 0 else -c
-            factors = []
+        out = []
+        for k in _canonical(t):
+            c = t[k]
+            dy, dq = k >> _SHIFT, k & _MASK
+            factors = [] if k and (c == 1 or c == -1) else [str(abs(c))]
             if dy:
-                factors.append("y" + (power(dy) if dy > 1 else ""))
+                factors.append("y" if dy == 1 else "y" + (wide if dy >= 10 else "^{}").format(dy))
             if dq:
-                factors.append("q" + (power(dq) if dq > 1 else ""))
-            if not factors:
-                term = str(mag)
-            else:
-                if mag != 1:
-                    factors.insert(0, str(mag))
-                term = sep.join(factors)
-            parts.append(("-" if c < 0 else "+", term))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            text += sign + term
-        return text
-
-    def to_json_terms(self) -> list:
-        """Terms as {dy, dq, num, den} dicts in canonical order; den is always 1."""
-        return [{"dy": dy, "dq": dq, "num": c, "den": 1} for (dy, dq), c in self.terms()]
+                factors.append("q" if dq == 1 else "q" + (wide if dq >= 10 else "^{}").format(dq))
+            out += ("-" if c < 0 else "+"), sep.join(factors)
+        return "".join(out).removeprefix("+")
 
     def __repr__(self):
         return f"BivarPoly({self.to_text()})"

@@ -9,6 +9,7 @@ import pytest
 from gforest import cli, genfun, oracle
 from gforest.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main, run_checks
 from gforest.ring import ZERO, BivarPoly
+from gforest.series import TruncSeries
 
 ROW_4_2 = "q^4+4q^3+10q^2+12q+6"
 
@@ -98,7 +99,16 @@ def test_table_json_format(capsys):
 
 
 def _json_dumps_rows(rows):
-    data = [{"n": n, "k": k, "coefficients": poly.to_json_terms()} for n, k, poly in rows]
+    data = [
+        {
+            "n": n,
+            "k": k,
+            "coefficients": [
+                {"dy": dy, "dq": dq, "num": c, "den": 1} for (dy, dq), c in poly.terms()
+            ],
+        }
+        for n, k, poly in rows
+    ]
     return json.dumps(data, indent=1)
 
 
@@ -147,6 +157,41 @@ CHECK_SHA256 = "ebe86f89e26ddb40a2c11332db33fd79aa3903db9b59720db4a5c92e673971aa
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 over every single-row render_table(n, n, kind, fmt, 16), n = 1 .. 16,
+# concatenated in GFKind order, then FORMATS order, then n: gf-bulk's renders.
+SINGLE_ROWS_SHA256 = "d00b8d0324dd941695d1e071139ba6ed509c64e7916508ffe5ec904d5e753ebd"
+
+
+def test_single_row_tables_to_x16_are_pinned():
+    digest = hashlib.sha256()
+    for kind in genfun.GFKind:
+        for fmt in cli.FORMATS:
+            for n in range(1, 17):
+                digest.update(cli.render_table(n, n, kind, fmt, 16).encode("utf-8"))
+    assert digest.hexdigest() == SINGLE_ROWS_SHA256
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({(2, 1): 1, (1, 0): -2}, "[x^4 y^1 q^0] = -2 is negative"),
+        ({(2, 0): 1, (5, 1): 3}, "y-degree 5 exceeds n = 4"),
+        ({(5, 0): 1, (2, 1): -1}, "y-degree 5 exceeds n = 4"),
+    ],
+)
+def test_render_table_validates_each_coefficient(monkeypatch, fmt, terms, message):
+    bad = TruncSeries([0, 0, 0, 0, BivarPoly(terms)], 4)
+    with pytest.raises(genfun.IntegralityViolation) as info:
+        genfun.extract_counts(bad, 4)
+    assert str(info.value) == message
+    monkeypatch.setattr(genfun, "series_for", lambda kind, order: bad)
+    for n_min in (1, 4):
+        with pytest.raises(genfun.IntegralityViolation) as info:
+            cli.render_table(n_min, 4, genfun.GFKind.GRASS_FOREST, fmt, 4)
+        assert str(info.value) == message
 
 
 def test_tables_to_x14_are_pinned():

@@ -16,6 +16,7 @@ from gforest.genfun import (
     build_C,
     build_forest_gf,
     build_tree_gf,
+    checked_coefficient,
     coefficient_poly,
     euler_characteristic,
     extract_counts,
@@ -322,6 +323,45 @@ def test_extract_counts_rejects_a_y_degree_above_n():
     bad = TruncSeries([0, BivarPoly({(2, 0): 1, (1, 0): 1})], 1)
     with pytest.raises(IntegralityViolation, match="y-degree 2 exceeds n = 1"):
         extract_counts(bad, 1)
+
+
+# [x^4] coefficients that break a sanity rule, with the error naming the first
+# offending term in storage order; a term that breaks both is named as negative.
+BAD_X4 = [
+    ({(2, 1): 1, (1, 0): -2}, "[x^4 y^1 q^0] = -2 is negative"),
+    ({(2, 0): 1, (5, 1): 3}, "y-degree 5 exceeds n = 4"),
+    ({(5, 0): 1, (2, 1): -1}, "y-degree 5 exceeds n = 4"),
+    ({(2, 1): -1, (5, 0): 1}, "[x^4 y^2 q^1] = -1 is negative"),
+    ({(0, 0): 1, (5, 2): -3}, "[x^4 y^5 q^2] = -3 is negative"),
+]
+
+
+def _bad_series(terms):
+    return TruncSeries([0, 0, 0, 0, BivarPoly(terms)], 4)
+
+
+def _message(call):
+    with pytest.raises(IntegralityViolation) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("terms, message", BAD_X4)
+def test_each_validating_entry_point_names_the_first_bad_term(monkeypatch, terms, message):
+    series = _bad_series(terms)
+    assert _message(lambda: extract_counts(series, 4)) == message
+    assert _message(lambda: checked_coefficient(series, 4)) == message
+    monkeypatch.setattr(genfun, "series_for", lambda kind, order: series)
+    for k in (0, 2, 4):
+        assert _message(lambda: coefficient_poly(GFKind.GRASS_FOREST, 4, k)) == message
+
+
+def test_checked_coefficient_returns_the_coefficient_itself():
+    series = series_for(GFKind.GRASS_FOREST, 8)
+    for n in range(9):
+        assert checked_coefficient(series, n) is series[n]
+    edge = _bad_series({(4, 0): 1, (0, 3): 2})  # a y-degree of exactly n is allowed
+    assert checked_coefficient(edge, 4) is edge[4]
 
 
 @pytest.mark.parametrize("kind", list(GFKind))

@@ -203,6 +203,71 @@ def test_latex_rendering():
     assert row.to_latex() == "q^{12}+4 q^3+6"
 
 
+def test_rendering_of_exponents_9_and_10():
+    p = P({(9, 10): 1, (10, 9): 2, (10, 10): -3})
+    assert p.to_text() == "-3y^10q^10+y^9q^10+2y^10q^9"
+    assert p.to_latex() == "-3 y^{10} q^{10}+y^9 q^{10}+2 y^{10} q^9"
+
+
+def test_rendering_of_signs_units_and_constants():
+    p = P({(1, 3): -1, (2, 1): 1, (1, 0): -1, (0, 0): 1})
+    assert p.to_text() == "-yq^3+y^2q-y+1"
+    assert p.to_latex() == "-y q^3+y^2 q-y+1"
+    assert P({(3, 0): 1, (0, 0): -1}).to_text() == "y^3-1"
+    assert P({(0, 0): 1}).to_text() == P({(0, 0): 1}).to_latex() == "1"
+    assert P({(0, 0): -1}).to_text() == "-1"
+    assert P({(0, 0): 3**50}).to_latex() == str(3**50)
+    assert P({(0, 2): -1, (0, 1): -1}).to_latex() == "-q^2-q"
+
+
+def test_terms_break_a_q_degree_tie_by_descending_y():
+    p = P({(0, 3): 1, (4, 3): 2, (1, 3): 3, (9, 3): 4, (2, 5): 5, (7, 0): 6, (1, 0): 7})
+    assert [m for m, _ in p.terms()] == [(2, 5), (9, 3), (4, 3), (1, 3), (0, 3), (7, 0), (1, 0)]
+
+
+def _render_reference(p, sep, power):
+    """Reference renderer: terms sorted through a Python key, one factor list
+    per term and the text built by repeated concatenation."""
+    terms = sorted(p.term_map().items(), key=lambda t: (t[0][1], t[0][0]), reverse=True)
+    if not terms:
+        return "0"
+    text = ""
+    for (dy, dq), c in terms:
+        factors = ["y" + (power(dy) if dy > 1 else "")] if dy else []
+        factors += ["q" + (power(dq) if dq > 1 else "")] if dq else []
+        mag = str(abs(c))
+        term = sep.join(([mag] if mag != "1" else []) + factors) if factors else mag
+        text += ("-" if c < 0 else "+" if text else "") + term
+    return text
+
+
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    st.one_of(st.sampled_from([1, -1]), coeffs),
+    max_size=8,
+).map(BivarPoly)
+
+
+@given(wide_polys)
+@settings(max_examples=120, deadline=None)
+def test_rendering_and_term_order_match_the_reference(p):
+    assert p.terms() == sorted(
+        p.term_map().items(), key=lambda t: (t[0][1], t[0][0]), reverse=True
+    )
+    assert p.to_text() == _render_reference(p, "", lambda e: f"^{e}")
+    latex_power = lambda e: f"^{{{e}}}" if e >= 10 else f"^{e}"
+    assert p.to_latex() == _render_reference(p, " ", latex_power)
+    assert p.y_degree() == max((dy for dy, _ in p.term_map()), default=-1)
+    assert p.min_coefficient() == min(p.term_map().values(), default=0)
+
+
+def test_degrees_and_smallest_coefficient():
+    p = P({(3, 1): 5, (0, 7): -2, (2, 2): 1})
+    assert (p.y_degree(), p.q_degree(), p.min_coefficient()) == (3, 7, -2)
+    assert (ZERO.y_degree(), ZERO.q_degree(), ZERO.min_coefficient()) == (-1, -1, 0)
+    assert (ONE.y_degree(), ONE.min_coefficient()) == (0, 1)
+
+
 @given(polys)
 @settings(max_examples=60, deadline=None)
 def test_y_parts_are_the_y_coefficients(a):
@@ -224,8 +289,9 @@ def test_y_parts_of_sparse_and_zero_polynomials():
 
 
 def test_json_terms():
+    # The table's JSON layout: one {dy, dq, num, den} dict per term, in terms() order.
     p = P({(1, 2): -3, (0, 0): 4})
-    assert p.to_json_terms() == [
+    assert [{"dy": dy, "dq": dq, "num": c, "den": 1} for (dy, dq), c in p.terms()] == [
         {"dy": 1, "dq": 2, "num": -3, "den": 1},
         {"dy": 0, "dq": 0, "num": 4, "den": 1},
     ]
