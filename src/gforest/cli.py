@@ -39,7 +39,7 @@ class ConfigError(Exception):
 def _table_rows(n_min: int, n_max: int, kind: GFKind):
     series = genfun.series_for(kind, n_max)
     for n in range(n_min, n_max + 1):
-        parts = genfun.checked_coefficient(series, n).y_parts()
+        parts = genfun.checked_coefficient(series, n).y_parts(2, n // 2)
         for k in range(2, n // 2 + 1):
             yield n, k, parts.get(k, ZERO)
 

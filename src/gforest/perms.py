@@ -6,20 +6,24 @@ are computed by the rules-of-the-road walk: entering an internal vertex
 through its i-th edge (edges ordered clockwise) the walk leaves through
 edge i + h(v) mod deg(v).  Amalgamation glues two permutations the way
 an edge glues two star trees; together with cyclic rotation it generates
-exactly the permutations arising from trees, and direct sum and rotation
-take those to the permutations of forests.  Both closures are built one
-size at a time, each size from the finished sets of smaller sizes.
+exactly the permutations arising from trees.  A forest is a noncrossing
+collection of trees, so the direct sum of a tree permutation with a
+forest permutation, and rotation, take those to the permutations of
+forests.  Both closures are built one size at a time, each size from the
+finished sets of smaller sizes.
 A DecoratedPermutation is the pair (images, decorations) and equals it.
 Only its constructor validates.  The operations slice and shift the image
-tuples of valid operands into valid results, and trip_permutation walks a
-forest it has checked (blocks, helicities, leaf counts) into one; all of
-them build the result with tuple.__new__, and the tests check every
-closure member and every trip permutation through n = 7 against the
-constructor.
+tuples of valid operands into valid results, and trip_permutation
+relabels the trips of each decorated tree, walked once and cached, into
+one after checking the forest (blocks, helicities, leaf counts) on every
+call; all of them build the result with tuple.__new__, and the tests
+check every closure member and every trip permutation through n = 7
+against the constructor.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, permutations as all_permutations
 from operator import itemgetter
 
@@ -160,11 +164,9 @@ def trip_permutation(G) -> DecoratedPermutation:
 
     Fixed points come exactly from single-leaf components and are coloured
     black when the leaf has h = 0, white when h = 1.  A component of three
-    or more leaves becomes a step table over the half-edges arriving at its
-    vertices (see _steps), and each trip follows it until it leaves at the
-    boundary.  The table is injective and no arrival from the boundary has
-    a preimage, so every trip ends; with 0 < h < deg no trip turns back
-    along an edge, so on a tree none ends where it started.
+    or more leaves takes its trips from _exits, computed once per decorated
+    tree, relabelled by its block.  Decorations are nested tuples, as the
+    oracle makes them.
     Raises ValueError when the blocks do not partition [n], a tree's leaves
     do not match its block, a vertex has h outside 1 .. deg - 1, or a
     single leaf has h outside {0, 1}.
@@ -186,16 +188,35 @@ def trip_permutation(G) -> DecoratedPermutation:
             images[a - 1] = b
             images[b - 1] = a
         else:
-            step, starts = [], [0]
-            _steps(dec, ~0, step, starts)
-            if len(starts) != len(block):
-                raise ValueError(f"a tree with {len(starts) - 1} leaves on block {block}")
-            for p, a in zip(block, starts):
-                while a >= 0:
-                    a = step[a]
-                images[p - 1] = block[~a]
+            exits = _exits(dec)
+            if len(exits) != len(block):
+                raise ValueError(f"a tree with {len(exits) - 1} leaves on block {block}")
+            for p, e in zip(block, exits):
+                images[p - 1] = block[e]
     decorations.sort()
     return tuple.__new__(DecoratedPermutation, (tuple(images), tuple(decorations)))
+
+
+@lru_cache(maxsize=None)
+def _exits(dec) -> tuple:
+    """For each boundary position p of a decorated tree (0 the root's edge,
+    then the leaves left to right), the position where the trip entering
+    at p leaves.
+
+    The trips follow the step table of _steps.  It is injective and no
+    arrival from the boundary has a preimage, so every trip ends; with
+    0 < h < deg no trip turns back along an edge, so on a tree none ends
+    where it started.  A bad helicity raises ValueError, which is not
+    cached, so it is raised on every call.
+    """
+    step, starts = [], [0]
+    _steps(dec, ~0, step, starts)
+    exits = []
+    for a in starts:
+        while a >= 0:
+            a = step[a]
+        exits.append(~a)
+    return tuple(exits)
 
 
 def _steps(node, back, step, starts):
@@ -279,11 +300,23 @@ def grass_tree_permutation_sets(max_n: int) -> dict:
 
 def grass_forest_permutation_sets(max_n: int) -> dict:
     """Closure of the tree permutations under direct sum and cyclic rotation:
-    size m holds the tree permutations, every direct sum of forest
-    permutations on a and m - a letters, and their rotations."""
+    size m holds the tree permutations, every direct sum t + f of a tree
+    permutation t on a letters and a forest permutation f on m - a, and
+    their rotations.
+
+    Taking the first summand from the trees alone loses nothing.  Every
+    member of the closure under all direct sums has a noncrossing partition
+    of its letters into blocks, with a tree permutation on each block, up
+    to rotation: direct sum and rotation both keep that form.  Some block
+    of a noncrossing partition is a cyclically contiguous arc, and rotating
+    that arc to the front writes the member as t + f, with f of the same
+    form on the other letters, so f is a forest permutation by induction
+    on the size, and the member is a rotation of a seed built here.
+    """
     by_size = grass_tree_permutation_sets(max_n)
+    trees = {m: tuple(found) for m, found in by_size.items()}
     for m in range(2, max_n + 1):
-        sums = (direct_sum(s, t) for a in range(1, m) for s in by_size[a] for t in by_size[m - a])
+        sums = (direct_sum(t, f) for a in range(1, m) for t in trees[a] for f in by_size[m - a])
         _add_orbits(by_size, m, sums)
     return by_size
 

@@ -317,13 +317,17 @@ class BivarPoly:
             {k & _MASK: c for k, c in self._t.items() if k >> _SHIFT == dy}
         )
 
-    def y_parts(self) -> dict:
-        """{dy: the polynomial in q multiplying y^dy}, split in one pass.
+    def y_parts(self, lo: int, hi: int) -> dict:
+        """{dy: the polynomial in q multiplying y^dy} for lo <= dy <= hi,
+        split in one pass.
 
-        Only y-degrees that have terms are keys; `y_coefficient(dy)` is
-        `y_parts().get(dy, ZERO)`."""
+        Only y-degrees that have terms are keys; for lo <= dy <= hi,
+        `y_coefficient(dy)` is `y_parts(lo, hi).get(dy, ZERO)`."""
+        start, stop = lo << _SHIFT, (hi + 1) << _SHIFT
         parts = {}
         for k, c in self._t.items():
+            if not start <= k < stop:
+                continue
             part = parts.get(k >> _SHIFT)
             if part is None:
                 parts[k >> _SHIFT] = part = {}

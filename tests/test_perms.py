@@ -126,6 +126,35 @@ def test_trip_permutation_refuses_malformed_forests(G, match):
         trip_permutation(G)
 
 
+def test_a_cached_tree_is_relabelled_by_each_block():
+    tree = (1, None, (2, None, None))  # the amalgamation of pi(1, 3) and pi(2, 3)
+    alone = trip_permutation((((1, 2, 3, 4), tree),))
+    assert alone == amalgamation(pi_perm(1, 3), pi_perm(2, 3))
+    hits = perms._exits.cache_info().hits
+    # The same tree on {2, 3, 5, 6}, around a swap on {1, 4} and leaf 7.
+    w = trip_permutation((((1, 4), None), ((2, 3, 5, 6), tree), ((7,), 1)))
+    assert perms._exits.cache_info().hits > hits
+    block = (2, 3, 5, 6)
+    relabelled = {block[i]: block[v - 1] for i, v in enumerate(alone.images)}
+    assert w == ((4, relabelled[2], relabelled[3], 1, relabelled[5], relabelled[6], 7), ((7, "white"),))
+
+
+def test_a_bad_helicity_raises_on_every_call():
+    G = (((1, 2, 3, 4), (1, None, (3, None, None))),)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="helicity 3"):
+            trip_permutation(G)
+
+
+def test_a_cached_tree_on_a_block_of_the_wrong_size_is_refused():
+    tree = (2, None, None, None)
+    assert trip_permutation((((1, 2, 3, 4), tree),)) == pi_perm(2, 4)
+    with pytest.raises(ValueError, match=r"3 leaves on block \(1, 2, 3\)"):
+        trip_permutation((((1, 2, 3), tree),))
+    with pytest.raises(ValueError, match=r"3 leaves on block \(1, 2, 3, 4, 5\)"):
+        trip_permutation((((1, 2, 3, 4, 5), tree),))
+
+
 @pytest.mark.parametrize(
     "n",
     list(range(1, 8))
@@ -312,6 +341,27 @@ def test_forest_permutation_closure_equals_trip_permutations(n):
     assert closure == trips
 
 
+def all_pairs_forest_closure(max_n):
+    sets = grass_tree_permutation_sets(max_n)
+    for m in range(2, max_n + 1):
+        for w in [direct_sum(s, t) for a in range(1, m) for s in sets[a] for t in sets[m - a]]:
+            while w not in sets[m]:
+                sets[m].add(w)
+                w = cyclic_rotation(w)
+    return sets
+
+
+@pytest.mark.parametrize(
+    "max_n",
+    list(range(1, 8))
+    + [pytest.param(8, marks=pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1"))],
+)
+def test_forest_closure_equals_the_all_pairs_closure(max_n):
+    # The closure sums a tree permutation with a forest permutation; the
+    # reference sums every ordered pair of smaller forest permutations.
+    assert grass_forest_permutation_sets(max_n) == all_pairs_forest_closure(max_n)
+
+
 def test_closure_budget(monkeypatch):
     monkeypatch.setattr(perms, "CLOSURE_BUDGET", 5)
     with pytest.raises(BudgetExceeded, match="closure exceeded 5 permutations"):
@@ -327,8 +377,9 @@ def test_closure_budget(monkeypatch):
 def test_closure_budget_stops_the_build_within_a_size(monkeypatch):
     # The forest closure through n = 6 holds 2357 permutations; through
     # n = 7 it holds 15,553.  Candidates are built one at a time, so the
-    # build stops soon after the budget is passed, long before the 13,112
-    # direct sums of size 7 (each ordered pair of smaller forests) are made.
+    # build stops soon after the budget is passed, long before the 5,008
+    # direct sums of size 7 (each tree permutation with each smaller forest
+    # permutation) are made.
     calls = []
 
     def counted(s, t):

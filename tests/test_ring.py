@@ -268,24 +268,26 @@ def test_degrees_and_smallest_coefficient():
     assert (ONE.y_degree(), ONE.min_coefficient()) == (0, 1)
 
 
-@given(polys)
+@given(polys, st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
-def test_y_parts_are_the_y_coefficients(a):
-    parts = a.y_parts()
-    degrees = {dy for dy, _ in a.term_map()}
+def test_y_parts_are_the_y_coefficients(a, hi):
+    # The table's range: y^2 .. y^hi.
+    parts = a.y_parts(2, hi)
+    degrees = {dy for dy, _ in a.term_map() if 2 <= dy <= hi}
     assert set(parts) == degrees
     for dy in degrees:
         assert typed(parts[dy]) == typed(a.y_coefficient(dy))
-    assert sum((p * Y**dy for dy, p in parts.items()), ZERO) == a
+    inside = P({(dy, dq): c for (dy, dq), c in a.term_map().items() if 2 <= dy <= hi})
+    assert sum((p * Y**dy for dy, p in parts.items()), ZERO) == inside
 
 
 def test_y_parts_of_sparse_and_zero_polynomials():
-    assert ZERO.y_parts() == {}
-    p = P({(3, 1): 3**50, (3, 0): -2, (0, 4): 5})
-    parts = p.y_parts()
-    assert parts == {3: P({(0, 1): 3**50, (0, 0): -2}), 0: P({(0, 4): 5})}
-    assert 1 not in parts and 2 not in parts and 4 not in parts
-    assert p.y_coefficient(2) == ZERO
+    assert ZERO.y_parts(2, 4) == {}
+    p = P({(3, 1): 3**50, (3, 0): -2, (0, 4): 5, (2, 2): 7, (5, 0): 1})
+    assert p.y_parts(2, 4) == {3: P({(0, 1): 3**50, (0, 0): -2}), 2: P({(0, 2): 7})}
+    assert p.y_parts(2, 2) == {2: P({(0, 2): 7})}
+    assert p.y_parts(2, 1) == {}
+    assert p.y_coefficient(4) == ZERO
 
 
 def test_json_terms():
