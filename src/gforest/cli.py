@@ -168,7 +168,7 @@ def cmd_perms(args) -> int:
             hist = {}
             for w in closure(args.n)[args.n]:
                 key = (
-                    perms.descents(w.images) if by_descents else perms.antiexcedances(w)
+                    perms.descents(w.letters()) if by_descents else perms.antiexcedances(w)
                 )
                 hist[key] = hist.get(key, 0) + 1
         lines = [f"{key} {hist[key]}" for key in sorted(hist)]

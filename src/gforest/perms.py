@@ -11,12 +11,15 @@ collection of trees, so the direct sum of a tree permutation with a
 forest permutation, and rotation, take those to the permutations of
 forests.  Both closures are built one size at a time, each size from the
 finished sets of smaller sizes.
-A DecoratedPermutation is the pair (images, decorations) and equals it.
-Only its constructor validates.  The operations slice and shift the image
-tuples of valid operands into valid results, and trip_permutation
+A DecoratedPermutation is its code: one byte per letter, byte i - 1
+holding w(i), plus WHITE_FLAG on a white fixed point, so it holds at most
+MAX_LETTERS letters; it compares and hashes as those bytes.  Only its
+constructor validates.  Direct sum and rotation are one concatenation and
+one `translate` through a 256-entry table for their size, built on first
+use; amalgamation adds one `replace` on each operand.  trip_permutation
 relabels the trips of each decorated tree, walked once and cached, into
 one after checking the forest (blocks, helicities, leaf counts) on every
-call; all of them build the result with tuple.__new__, and the tests
+call.  All of them build the result with bytes.__new__, and the tests
 check every closure member and every trip permutation through n = 7
 against the constructor.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, permutations as all_permutations
-from operator import itemgetter
+from operator import eq, gt, lt
 
 from .oracle import WHITE, BLACK
 
@@ -36,6 +39,9 @@ CLOSURE_BUDGET = 10**6
 # at n = 8 and 1.9 s at n = 9 (2-CPU machine, Python 3.11), about tenfold
 # per letter.
 SEPARABLE_MAX_N = 10
+# A letter takes the low six bits of its byte and the colour the seventh.
+WHITE_FLAG = 64
+MAX_LETTERS = WHITE_FLAG - 1
 
 
 class BudgetExceeded(RuntimeError):
@@ -47,22 +53,57 @@ class SizeTooSmall(ValueError):
     """Amalgamation needs both operands on at least two letters."""
 
 
-class DecoratedPermutation(tuple):
-    """One-line permutation with coloured fixed points: the pair (images,
-    decorations), and equal to it.
+class _Tables(dict):
+    """Translation tables by size, each built on first use."""
 
-    images[i-1] = w(i); decorations is a sorted tuple of (fixed point,
-    colour) pairs covering exactly the fixed points.
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, n):
+        table = self[n] = self.build(n)
+        return table
+
+
+# Byte -> its letter, the flag cleared.
+_LETTERS = bytes(range(WHITE_FLAG)) * 4
+# Byte -> its letter, or 0 for a white fixed point.
+_WHITE_AS_ZERO = bytes(range(WHITE_FLAG)) + bytes(256 - WHITE_FLAG)
+# 1, 2, ..., MAX_LETTERS: the position of each byte of a code.
+_POSITIONS = _LETTERS[1:WHITE_FLAG]
+# Letter -> the one-byte code holding it.
+_BYTE = [_LETTERS[v : v + 1] for v in range(WHITE_FLAG)]
+# _SHIFT[a]: letter v -> v + a, the flag kept (v + a <= MAX_LETTERS).
+_SHIFT = _Tables(lambda a: bytes((b + a) & 255 for b in range(256)))
+# _ROTATE[n]: letter v -> v % n + 1, the flag kept (n = 0 has no letter).
+_ROTATE = _Tables(
+    lambda n: bytes(b & WHITE_FLAG | (b & MAX_LETTERS) % (n or 1) + 1 for b in range(256))
+)
+
+
+def _too_long(what: str, n: int) -> ValueError:
+    return ValueError(f"{what} on {n} letters: a code holds at most {MAX_LETTERS}")
+
+
+class DecoratedPermutation(bytes):
+    """One-line permutation with coloured fixed points, stored as its code:
+    byte i - 1 is w(i), plus WHITE_FLAG when i is a white fixed point.
+
+    images is the tuple (w(1), ..., w(n)); decorations is the sorted tuple
+    of (fixed point, colour) pairs covering exactly the fixed points; repr
+    is that of the pair (images, decorations).
     """
 
     __slots__ = ()
 
     def __new__(cls, images, decorations=()):
         images = tuple(images)
+        n = len(images)
+        if n > MAX_LETTERS:
+            raise _too_long("a permutation", n)
         dec = dict(decorations)
         if any(type(v) is not int for v in chain(images, dec)):
             raise ValueError(f"letters must be ints: {images}, {decorations}")
-        n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {images}")
         fixed = {i for i, v in enumerate(images, start=1) if i == v}
@@ -72,21 +113,43 @@ class DecoratedPermutation(tuple):
             raise ValueError(f"decorations {sorted(dec)} do not match fixed points {sorted(fixed)}")
         if any(c not in (BLACK, WHITE) for c in dec.values()):
             raise ValueError("decorations must be black or white")
-        return tuple.__new__(cls, (images, tuple(sorted(dec.items()))))
+        code = list(images)
+        for i, c in dec.items():
+            if c == WHITE:
+                code[i - 1] += WHITE_FLAG
+        return bytes.__new__(cls, code)
 
     def __getnewargs__(self):
-        return tuple(self)
+        return self.images, self.decorations
 
-    images = property(itemgetter(0))
-    decorations = property(itemgetter(1))
+    def letters(self) -> bytes:
+        """w(1), ..., w(n) as bytes, the colours dropped."""
+        return self.translate(_LETTERS)
+
+    @property
+    def images(self) -> tuple:
+        return tuple(self.letters())
+
+    @property
+    def decorations(self) -> tuple:
+        return tuple(
+            (i, WHITE if b & WHITE_FLAG else BLACK)
+            for i, b in enumerate(self, start=1)
+            if b & MAX_LETTERS == i
+        )
+
+    def __repr__(self) -> str:
+        return repr((self.images, self.decorations))
+
+    __str__ = __repr__
 
     def to_text(self) -> str:
         """One-line notation; black fixed points as _i, white as ^i."""
-        dec = dict(self.decorations)
         parts = []
-        for i, v in enumerate(self.images, start=1):
-            if i in dec:
-                parts.append(("_" if dec[i] == BLACK else "^") + str(v))
+        for i, b in enumerate(self, start=1):
+            v = b & MAX_LETTERS
+            if v == i:
+                parts.append(("^" if b & WHITE_FLAG else "_") + str(v))
             else:
                 parts.append(str(v))
         return "(" + ",".join(parts) + ")"
@@ -99,12 +162,15 @@ def _plain_antiexcedances(images) -> int:
 
 
 def antiexcedances(w: DecoratedPermutation) -> int:
-    """Number of i with w^{-1}(i) > i, plus white fixed points."""
-    return _plain_antiexcedances(w.images) + sum(1 for _, c in w.decorations if c == WHITE)
+    """Number of i with w^{-1}(i) > i, plus white fixed points: the j with
+    w(j) < j, in one pass over the code with each white fixed point read
+    as 0."""
+    return sum(map(lt, w.translate(_WHITE_AS_ZERO), _POSITIONS))
 
 
 def descents(images) -> int:
-    return sum(1 for a, b in zip(images, images[1:]) if a > b)
+    """Number of i with images[i - 1] > images[i], for a tuple or bytes."""
+    return sum(map(gt, images, images[1:]))
 
 
 def pi_perm(k: int, n: int) -> DecoratedPermutation:
@@ -120,11 +186,11 @@ def pi_perm(k: int, n: int) -> DecoratedPermutation:
 
 
 def direct_sum(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedPermutation:
-    """Block-diagonal concatenation, decorations shifted with their letters."""
-    ns = len(s.images)
-    images = s.images + tuple(v + ns for v in t.images)
-    dec = s.decorations + tuple((i + ns, c) for i, c in t.decorations)
-    return tuple.__new__(DecoratedPermutation, (images, dec))
+    """Block-diagonal concatenation: t's letters shifted by len(s), colours
+    kept."""
+    if len(s) + len(t) > MAX_LETTERS:
+        raise _too_long("a direct sum", len(s) + len(t))
+    return bytes.__new__(DecoratedPermutation, s + t.translate(_SHIFT[len(s)]))
 
 
 def amalgamation(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedPermutation:
@@ -135,25 +201,26 @@ def amalgamation(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedP
     from its first boundary, and vice versa.  Letters n_s .. n_s+n_t-2 of
     the result are letters 2 .. n_t of t.
     """
-    ns, nt = len(s.images), len(t.images)
+    ns, nt = len(s), len(t)
     if ns < 2 or nt < 2:
         raise SizeTooSmall("amalgamation needs both operands on >= 2 letters")
-    if s.decorations or t.decorations:
+    if ns + nt - 2 > MAX_LETTERS:
+        raise _too_long("an amalgamation", ns + nt - 2)
+    if any(map(eq, s.translate(_LETTERS), _POSITIONS)) or any(
+        map(eq, t.translate(_LETTERS), _POSITIONS)
+    ):
         raise ValueError("amalgamation is defined on permutations without fixed points")
-    top, bottom = t.images[0] + ns - 2, s.images[-1]
-    left = tuple(top if v == ns else v for v in s.images[:-1])
-    right = tuple(bottom if v == 1 else v + ns - 2 for v in t.images[1:])
-    return tuple.__new__(DecoratedPermutation, (left + right, ()))
+    # Without fixed points, s holds n_s once before its last letter, and t's
+    # letter 1, shifted to n_s - 1, is the only such letter of the right part.
+    left = s[:-1].replace(_BYTE[ns], _BYTE[t[0] + ns - 2])
+    right = t[1:].translate(_SHIFT[ns - 2]).replace(_BYTE[ns - 1], s[-1:])
+    return bytes.__new__(DecoratedPermutation, left + right)
 
 
 def cyclic_rotation(w: DecoratedPermutation) -> DecoratedPermutation:
     """cyc(w)(i) = w(i-1) + 1 with both index and value wrapped modulo n;
-    a fixed point at n wraps to 1, so the decorations are sorted again."""
-    images, dec = w
-    n = len(images)
-    images = tuple(v % n + 1 for v in images[-1:] + images[:-1])
-    dec = tuple(sorted((i % n + 1, c) for i, c in dec))
-    return tuple.__new__(DecoratedPermutation, (images, dec))
+    a fixed point keeps its colour."""
+    return bytes.__new__(DecoratedPermutation, (w[-1:] + w[:-1]).translate(_ROTATE[len(w)]))
 
 
 # -- trip permutations -------------------------------------------------------------
@@ -167,22 +234,30 @@ def trip_permutation(G) -> DecoratedPermutation:
     or more leaves takes its trips from _exits, computed once per decorated
     tree, relabelled by its block.  Decorations are nested tuples, as the
     oracle makes them.
-    Raises ValueError when the blocks do not partition [n], a tree's leaves
-    do not match its block, a vertex has h outside 1 .. deg - 1, or a
-    single leaf has h outside {0, 1}.
+    Raises ValueError when the forest has more than MAX_LETTERS points, the
+    blocks do not partition [n], a tree's leaves do not match its block, a
+    vertex has h outside 1 .. deg - 1, or a single leaf has h outside
+    {0, 1}.
     """
-    labels = [p for block, _ in G for p in block]
-    n = len(labels)
-    if sorted(labels) != list(range(1, n + 1)) or not set(map(type, labels)) <= {int}:
-        raise ValueError(f"the blocks of {G} do not partition [{n}]")
+    n = 0
+    for block, _ in G:
+        n += len(block)
+    if n > MAX_LETTERS:
+        raise ValueError(f"a forest on {n} points: a code holds at most {MAX_LETTERS} letters")
+    # Mark each label's slot: a label of another type, out of range or marked
+    # twice means the blocks do not partition [n].
     images = [0] * n
-    decorations = []
+    for block, _ in G:
+        for p in block:
+            if type(p) is not int or not 0 < p <= n or images[p - 1]:
+                raise ValueError(f"the blocks of {G} do not partition [{n}]")
+            images[p - 1] = p
     for block, dec in G:
         if len(block) == 1:
             if dec not in (0, 1):
                 raise ValueError(f"leaf {block[0]} has helicity {dec}, not 0 or 1")
-            images[block[0] - 1] = block[0]
-            decorations.append((block[0], WHITE if dec == 1 else BLACK))
+            if dec == 1:  # the mark is the fixed point; white adds the flag
+                images[block[0] - 1] += WHITE_FLAG
         elif len(block) == 2:
             a, b = block
             images[a - 1] = b
@@ -193,8 +268,7 @@ def trip_permutation(G) -> DecoratedPermutation:
                 raise ValueError(f"a tree with {len(exits) - 1} leaves on block {block}")
             for p, e in zip(block, exits):
                 images[p - 1] = block[e]
-    decorations.sort()
-    return tuple.__new__(DecoratedPermutation, (tuple(images), tuple(decorations)))
+    return bytes.__new__(DecoratedPermutation, images)
 
 
 @lru_cache(maxsize=None)
@@ -325,7 +399,9 @@ def _add_orbits(by_size, m, seeds):
     """Add every seed on m letters and its cyclic rotations to by_size[m].
     Every permutation in by_size counts toward CLOSURE_BUDGET.  Each set
     stays a union of whole rotation orbits, so a seed not yet found starts
-    an orbit none of whose members is found."""
+    an orbit none of whose members is found.  A member is its m-byte code,
+    so the membership test hashes and compares bytes, and each rotation is
+    one `translate`."""
     found = by_size.setdefault(m, set())
     total = sum(map(len, by_size.values()))
     for w in seeds:

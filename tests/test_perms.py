@@ -36,6 +36,10 @@ from gforest.perms import (
     trip_permutation,
 )
 
+class Label(int):
+    pass
+
+
 WHITE_STAR3 = ((tuple(range(1, 4)), (1, None, None)),)
 BLACK_STAR3 = ((tuple(range(1, 4)), (2, None, None)),)
 
@@ -71,7 +75,7 @@ def test_letters_must_be_ints(images, decorations):
 
 def test_a_permutation_is_its_pair():
     w = DecoratedPermutation([2, 1, 3], [(3, "white")])
-    assert w == ((2, 1, 3), ((3, "white"),)) and type(w.images) is tuple
+    assert (w.images, w.decorations) == ((2, 1, 3), ((3, "white"),)) and type(w.images) is tuple
     assert w in {DecoratedPermutation((2, 1, 3), ((3, "white"),))}
     assert pickle.loads(pickle.dumps(w)) == w and copy.copy(w) == w
 
@@ -103,7 +107,8 @@ def test_trip_permutation_decorates_leaves():
     assert w.decorations == ((1, "black"), (2, "white"))
     # Singleton blocks out of order still give sorted decorations.
     w = trip_permutation((((2,), 0), ((1,), 1), ((3, 4, 5), (1, None, None))))
-    assert w == DecoratedPermutation(*w) == ((1, 2, 4, 5, 3), ((1, "white"), (2, "black")))
+    assert w == DecoratedPermutation(w.images, w.decorations)
+    assert (w.images, w.decorations) == ((1, 2, 4, 5, 3), ((1, "white"), (2, "black")))
 
 
 @pytest.mark.parametrize(
@@ -119,11 +124,38 @@ def test_trip_permutation_decorates_leaves():
         ((((1,), 2),), "leaf 1 has helicity 2"),
         ((((1, 2, 3), (1, None, None, None)),), "3 leaves"),
         ((((1, 2, 3, 4), (1, None, None)),), "2 leaves"),
+        ((((True, 2), None),), "partition"),  # True == 1, but a bool is not a label
+        ((((1, Label(2)), None),), "partition"),
+        ((((-1, 1), None),), "partition"),  # -1 would index the last slot
     ],
 )
 def test_trip_permutation_refuses_malformed_forests(G, match):
     with pytest.raises(ValueError, match=match):
         trip_permutation(G)
+
+
+def star(n):
+    return ((tuple(range(1, n + 1)), (1,) + (None,) * (n - 1)),)
+
+
+def test_codes_hold_at_most_63_letters(monkeypatch):
+    cycle = tuple(range(2, 64)) + (1,)
+    assert DecoratedPermutation(cycle).images == cycle
+    with pytest.raises(ValueError, match="a permutation on 64 letters"):
+        DecoratedPermutation((64,) + cycle)
+    assert trip_permutation(star(63)) == pi_perm(1, 63)
+    a, b, c = pi_perm(1, 40), pi_perm(1, 23), pi_perm(1, 24)
+    assert direct_sum(a, b) == DecoratedPermutation(a.images + tuple(v + 40 for v in b.images))
+    assert amalgamation(a, pi_perm(1, 25)) == pi_perm(1, 63)
+    # Each refusal comes before any table is read or any trip is walked.
+    monkeypatch.setattr(perms, "_SHIFT", None)
+    monkeypatch.setattr(perms, "_exits", None)
+    with pytest.raises(ValueError, match="a direct sum on 64 letters"):
+        direct_sum(a, c)
+    with pytest.raises(ValueError, match="an amalgamation on 64 letters"):
+        amalgamation(a, pi_perm(1, 26))
+    with pytest.raises(ValueError, match="a forest on 64 points"):
+        trip_permutation(star(64))
 
 
 def test_a_cached_tree_is_relabelled_by_each_block():
@@ -136,7 +168,10 @@ def test_a_cached_tree_is_relabelled_by_each_block():
     assert perms._exits.cache_info().hits > hits
     block = (2, 3, 5, 6)
     relabelled = {block[i]: block[v - 1] for i, v in enumerate(alone.images)}
-    assert w == ((4, relabelled[2], relabelled[3], 1, relabelled[5], relabelled[6], 7), ((7, "white"),))
+    assert (w.images, w.decorations) == (
+        (4, relabelled[2], relabelled[3], 1, relabelled[5], relabelled[6], 7),
+        ((7, "white"),),
+    )
 
 
 def test_a_bad_helicity_raises_on_every_call():
@@ -155,6 +190,14 @@ def test_a_cached_tree_on_a_block_of_the_wrong_size_is_refused():
         trip_permutation((((1, 2, 3, 4, 5), tree),))
 
 
+def assert_round_trips(w):
+    assert type(w) is DecoratedPermutation, w
+    assert w == DecoratedPermutation(w.images, w.decorations), w
+    assert repr(w) == repr((w.images, w.decorations))
+    for copied in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert type(copied) is DecoratedPermutation and copied == w, w
+
+
 @pytest.mark.parametrize(
     "n",
     list(range(1, 8))
@@ -165,8 +208,7 @@ def test_trip_permutations_pass_the_constructor(n):
     # what makes that safe.  Contracted forests are among these.
     for F in enumerate_forests(n):
         for G in decorate_grassmannian(F, contracted_only=False):
-            w = trip_permutation(G)
-            assert type(w) is DecoratedPermutation and w == DecoratedPermutation(*w), G
+            assert_round_trips(trip_permutation(G))
 
 
 # sha256 over repr(trip_permutation(G)) for every decorated forest on
@@ -221,6 +263,16 @@ def test_amalgamation_examples():
     assert amalgamation(pi_perm(1, 3), pi_perm(1, 3)) == pi_perm(1, 4)
     wb_tree = ((tuple(range(1, 5)), (1, None, (2, None, None))),)
     assert amalgamation(pi_perm(1, 3), pi_perm(2, 3)) == trip_permutation(wb_tree)
+
+
+def test_amalgamation_refuses_fixed_points():
+    for fixed in (
+        DecoratedPermutation((1, 3, 2), ((1, "black"),)),
+        DecoratedPermutation((3, 2, 1), ((2, "white"),)),
+    ):
+        for s, t in ((fixed, pi_perm(1, 3)), (pi_perm(1, 3), fixed)):
+            with pytest.raises(ValueError, match="without fixed points"):
+                amalgamation(s, t)
 
 
 def test_amalgamation_rejects_small_operands():
@@ -462,7 +514,7 @@ def test_closure_members_pass_the_constructor(closure, max_n):
     # The closure operations skip validation; this is what makes that safe.
     for found in closure(max_n).values():
         for w in found:
-            assert type(w) is DecoratedPermutation and w == DecoratedPermutation(*w), w
+            assert_round_trips(w)
 
 
 def test_the_closures_validate_only_the_stars(monkeypatch):
