@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import sys
+from collections import Counter
 from importlib import resources
 
 from . import genfun, oracle, perms
@@ -165,12 +166,12 @@ def cmd_perms(args) -> int:
                 if args.family == "grass-tree"
                 else perms.grass_forest_permutation_sets
             )
-            hist = {}
-            for w in closure(args.n)[args.n]:
-                key = (
-                    perms.descents(w.letters()) if by_descents else perms.antiexcedances(w)
-                )
-                hist[key] = hist.get(key, 0) + 1
+            members = closure(args.n)[args.n]
+            hist = Counter(
+                map(perms.descents, map(perms.DecoratedPermutation.letters, members))
+                if by_descents
+                else map(perms.antiexcedances, members)
+            )
         lines = [f"{key} {hist[key]}" for key in sorted(hist)]
         lines.append(f"total {sum(hist.values())}")
         fh.write("\n".join(lines) + "\n")

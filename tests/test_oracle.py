@@ -1,6 +1,7 @@
 """Definition-level checks of the enumeration machinery."""
 
 import hashlib
+import os
 import random
 from collections import Counter
 
@@ -25,10 +26,12 @@ from gforest.oracle import (
     mom_dimension,
     schroeder_trees,
     tree_helicity,
+    vertex_color,
     vertex_mom_dimension,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+EXTENDED = os.environ.get("GFOREST_EXTENDED") == "1"
 
 
 def all_set_partitions(elems):
@@ -260,6 +263,78 @@ def test_invariance_under_random_moves():
         H = contract_move(G, rng.choice(contractible_edges(G)))
         assert helicity(H) == helicity(G)
         assert mom_dimension(H) == mom_dimension(G)
+
+
+def _contractible_edges_by_walk(G):
+    # Reference: one recursive walk per tree, each colour passed down.
+    out = []
+
+    def walk(ci, node, color, path):
+        for i in range(1, len(node)):
+            child = node[i]
+            if child is not None:
+                edge = path + (i,)
+                child_color = vertex_color(child[0], len(child))
+                if color is not None and child_color == color:
+                    out.append((ci, edge))
+                walk(ci, child, child_color, edge)
+
+    for ci, (block, dec) in enumerate(G):
+        if len(block) > 2:
+            walk(ci, dec, vertex_color(dec[0], len(dec)), ())
+    return out
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        *range(1, 8),
+        pytest.param(8, marks=pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1")),
+    ],
+)
+def test_contractible_edges_match_the_walk(n):
+    # Every decorated forest on n points, contracted or not; equal paths
+    # come back as one object, so distinct ids count distinct paths.
+    paths = []
+    for F in enumerate_forests(n):
+        for G in decorate_grassmannian(F, contracted_only=False):
+            found = contractible_edges(G)
+            assert found == _contractible_edges_by_walk(G), G
+            paths.extend(path for _, path in found)
+    assert len(set(map(id, paths))) == len(set(paths))
+
+
+def test_contractible_edges_of_trees_built_elsewhere():
+    # Contraction results and hand-built decorations are new tuples, not
+    # the nodes decorate_grassmannian hands out.
+    forests = [
+        ((tuple(range(1, 7)), (1, None, (1, None, (1, None, None)), None)),),
+        ((tuple(range(1, 8)), (2, (2, None, None), (1, None, (1, None, None)), None)),),
+        ((tuple(range(1, 8)), (3, None, (2, None, (2, None, None)), None, None)),),
+        (((1,), 1), ((2, 3, 4, 5, 6), (2, (2, None, None), (1, None, None))), ((7,), 0)),
+        (
+            (
+                tuple(range(1, 12)),
+                (1, (1, None, (1, None, None)), (2, None, (2, None, None)), None, (3, None, None, None)),
+            ),
+        ),
+    ]
+    for F in enumerate_forests(6):
+        for G in decorate_grassmannian(F, contracted_only=False):
+            forests.extend(contract_move(G, edge) for edge in contractible_edges(G))
+    for G in forests:
+        assert contractible_edges(G) == _contractible_edges_by_walk(G), G
+    assert contractible_edges(forests[0]) == [(0, (2,)), (0, (2, 2))]
+    assert contractible_edges(forests[4]) == [(0, (1,)), (0, (1, 2)), (0, (2, 2))]
+
+
+def test_contractible_edges_are_a_new_list():
+    G = ((tuple(range(1, 5)), (1, None, (1, None, None))),)
+    found = contractible_edges(G)
+    found.append((0, (1,)))
+    found[0] = (0, (3,))
+    assert contractible_edges(G) == [(0, (2,))]
+    assert contractible_edges(G) is not contractible_edges(G)
 
 
 # sha256 over repr(contractible_edges(G)) for every decorated forest on
