@@ -63,9 +63,8 @@ from .perms import (
     antiexcedances,
     cyclic_rotation,
     direct_sum,
-    enumerate_separable,
-    is_separable,
     pi_perm,
+    separable_permutation_sets,
     trip_permutation,
 )
 

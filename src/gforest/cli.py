@@ -141,37 +141,25 @@ def cmd_perms(args) -> int:
         raise ConfigError("need --n >= 1")
     if args.n > args.order:
         raise ConfigError(f"n = {args.n} exceeds working order {args.order}")
+    # The whole family is sized before it is built or --out is opened.
     if args.family == "separable":
-        if args.n > perms.SEPARABLE_MAX_N:
-            raise ConfigError(f"separable enumeration capped at n = {perms.SEPARABLE_MAX_N}")
+        size = sum(perms.separable_counts(args.n).values())
     else:
         # The closure on m letters holds as many permutations as [x^m] of the
         # kind's series at y = q = 1 (equal at every m measured: m <= 10 for
-        # trees, m <= 9 for forests), so the series gives the size of the
-        # whole closure, which counts toward the budget, before it is built.
+        # trees, m <= 9 for forests).
         series = genfun.series_for(GFKind(args.family), args.n)
         size = sum(c for m in range(1, args.n + 1) for c in series[m].term_map().values())
-        if size > perms.CLOSURE_BUDGET:
-            raise ConfigError(
-                f"the {args.family} closure through n = {args.n} would hold {size} "
-                f"permutations, over the budget of {perms.CLOSURE_BUDGET}"
-            )
-    by_descents = args.by == "descents"
+    perms.check_budget(args.family, args.n, size)
+    # separable_permutation_sets, grass_tree_permutation_sets, ...
+    family = getattr(perms, args.family.replace("-", "_") + "_permutation_sets")
     with _output(args.out) as fh:
-        if args.family == "separable":
-            hist = perms.enumerate_separable(args.n, by_descents)
-        else:
-            closure = (
-                perms.grass_tree_permutation_sets
-                if args.family == "grass-tree"
-                else perms.grass_forest_permutation_sets
-            )
-            members = closure(args.n)[args.n]
-            hist = Counter(
-                map(perms.descents, map(perms.DecoratedPermutation.letters, members))
-                if by_descents
-                else map(perms.antiexcedances, members)
-            )
+        members = family(args.n)[args.n]
+        hist = Counter(
+            map(perms.descents, map(perms.DecoratedPermutation.letters, members))
+            if args.by == "descents"
+            else map(perms.antiexcedances, members)
+        )
         lines = [f"{key} {hist[key]}" for key in sorted(hist)]
         lines.append(f"total {sum(hist.values())}")
         fh.write("\n".join(lines) + "\n")

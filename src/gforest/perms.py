@@ -9,44 +9,49 @@ an edge glues two star trees; together with cyclic rotation it generates
 exactly the permutations arising from trees.  A forest is a noncrossing
 collection of trees, so the direct sum of a tree permutation with a
 forest permutation, and rotation, take those to the permutations of
-forests.  Both closures are built one size at a time, each size from the
-finished sets of smaller sizes.
+forests.  The two closures and the separable permutations are built one
+size at a time, each size from the finished sets of smaller sizes.
 A DecoratedPermutation is its code: one byte per letter, byte i - 1
 holding w(i), plus WHITE_FLAG on a white fixed point, so it holds at most
 MAX_LETTERS letters; it compares and hashes as those bytes.  Only its
-constructor validates.  Direct sum and rotation are one concatenation and
-one `translate` through a 256-entry table for their size, built on first
-use; amalgamation adds one `replace` on each operand.  trip_permutation
-relabels the trips of each decorated tree, walked once and cached, into
-one after checking the forest (blocks, helicities, leaf counts) on every
-call.  All of them build the result with bytes.__new__, and the tests
-check every closure member and every trip permutation through n = 7
-against the constructor.
+constructor validates.  Direct sum, skew sum and rotation are one
+concatenation and one `translate` through a 256-entry table for their
+size, built on first use; amalgamation adds one `replace` on each
+operand.  trip_permutation relabels the trips of each decorated tree,
+walked once and cached, into one after checking the forest (blocks,
+helicities, leaf counts) on every call.  All of them build the result
+with bytes.__new__, and the tests check every member of each family and
+every trip permutation through n = 7 against the constructor.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, permutations as all_permutations
+from itertools import chain
 from operator import eq, gt, lt
 
 from .oracle import WHITE, BLACK
 
 
-# The most permutations a closure may hold over all its sizes.
+# The most permutations a family may hold over all its sizes.
 CLOSURE_BUDGET = 10**6
-# The most letters the separable brute force runs on: it takes about 0.2 s
-# at n = 8 and 1.9 s at n = 9 (2-CPU machine, Python 3.11), about tenfold
-# per letter.
-SEPARABLE_MAX_N = 10
 # A letter takes the low six bits of its byte and the colour the seventh.
 WHITE_FLAG = 64
 MAX_LETTERS = WHITE_FLAG - 1
 
 
 class BudgetExceeded(RuntimeError):
-    """A brute-force permutation family was asked for more than its fixed
-    limit allows: SEPARABLE_MAX_N letters, or CLOSURE_BUDGET permutations."""
+    """A permutation family would hold more than CLOSURE_BUDGET permutations
+    over all its sizes."""
+
+
+def check_budget(family: str, max_n: int, size: int):
+    """Refuse a family whose sizes 1..max_n hold size > CLOSURE_BUDGET."""
+    if size > CLOSURE_BUDGET:
+        raise BudgetExceeded(
+            f"the {family} family through n = {max_n} would hold {size} "
+            f"permutations, over the budget of {CLOSURE_BUDGET}"
+        )
 
 
 class SizeTooSmall(ValueError):
@@ -155,12 +160,6 @@ class DecoratedPermutation(bytes):
         return "(" + ",".join(parts) + ")"
 
 
-def _plain_antiexcedances(images) -> int:
-    """Number of j with w(j) < j: the same set as the i = w(j) with
-    w^{-1}(i) > i."""
-    return sum(1 for j, v in enumerate(images, start=1) if v < j)
-
-
 def antiexcedances(w: DecoratedPermutation) -> int:
     """Number of i with w^{-1}(i) > i, plus white fixed points: the j with
     w(j) < j, in one pass over the code with each white fixed point read
@@ -191,6 +190,14 @@ def direct_sum(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedPer
     if len(s) + len(t) > MAX_LETTERS:
         raise _too_long("a direct sum", len(s) + len(t))
     return bytes.__new__(DecoratedPermutation, s + t.translate(_SHIFT[len(s)]))
+
+
+def skew_sum(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedPermutation:
+    """Anti-diagonal concatenation: s's letters shifted by len(t).  The
+    result's fixed points are black, so neither operand may have a white one."""
+    if len(s) + len(t) > MAX_LETTERS:
+        raise _too_long("a skew sum", len(s) + len(t))
+    return bytes.__new__(DecoratedPermutation, s.translate(_SHIFT[len(t)]) + t)
 
 
 def amalgamation(s: DecoratedPermutation, t: DecoratedPermutation) -> DecoratedPermutation:
@@ -318,35 +325,6 @@ def _steps(node, back, step, starts):
     return base
 
 
-# -- pattern avoidance ---------------------------------------------------------------
-
-
-def is_separable(images) -> bool:
-    """True when the permutation avoids both 2413 and 3142.
-
-    Naive scan over 4-element subsequences; fine at the scale where
-    exhaustive enumeration is feasible anyway.
-    """
-    for a, b, c, d in combinations(images, 4):
-        if c < a < d < b or b < d < a < c:
-            return False
-    return True
-
-
-def enumerate_separable(n: int, by_descents: bool = True) -> dict:
-    """Histogram of separable permutations of [n], by descents (default) or
-    by antiexcedances (fixed points counting as non-antiexcedances)."""
-    if n > SEPARABLE_MAX_N:
-        raise BudgetExceeded(f"separable enumeration capped at n = {SEPARABLE_MAX_N}")
-    hist = {}
-    for w in all_permutations(range(1, n + 1)):
-        if not is_separable(w):
-            continue
-        key = descents(w) if by_descents else _plain_antiexcedances(w)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
 # -- closures ------------------------------------------------------------------------
 
 
@@ -411,3 +389,37 @@ def _add_orbits(by_size, m, seeds):
             if total > CLOSURE_BUDGET:
                 raise BudgetExceeded(f"closure exceeded {CLOSURE_BUDGET} permutations")
             w = cyclic_rotation(w)
+
+
+def separable_counts(max_n: int) -> dict:
+    """Separable permutations on m letters (m -> count, 1 <= m <= max_n):
+    I_1 = S_1 = 1 and, for m >= 2, P_m = sum_a I_a S_(m-a) direct sums, as
+    many skew sums, S_m = 2 P_m in all and I_m = P_m that are no direct sum."""
+    counts, firsts = {}, {}
+    for m in range(1, max_n + 1):
+        p = sum(firsts[a] * counts[m - a] for a in range(1, m))
+        firsts[m], counts[m] = (p, 2 * p) if m > 1 else (1, 1)
+    return counts
+
+
+def separable_permutation_sets(max_n: int) -> dict:
+    """Separable permutations (avoiding 2413 and 3142) on 1..max_n letters,
+    max_n >= 1 (size -> tuple), with black fixed points.  On m >= 2 letters
+    each is, in exactly one way, a direct sum s + t whose first block s is
+    no direct sum, or a skew sum whose first block is no skew sum, with t
+    separable, so each is built once.  Refuses, before building anything,
+    when separable_counts adds up to more than CLOSURE_BUDGET."""
+    check_budget("separable", max_n, sum(separable_counts(max_n).values()))
+    # sums[a] and skews[a] hold the direct and the skew sums on a letters;
+    # on one letter both hold the one-letter code, which may head either.
+    one = (pi_perm(0, 1),)
+    by_size, sums, skews = {1: one}, {1: one}, {1: one}
+    for m in range(2, max_n + 1):
+        sums[m] = tuple(
+            direct_sum(s, t) for a in range(1, m) for s in skews[a] for t in by_size[m - a]
+        )
+        skews[m] = tuple(
+            skew_sum(s, t) for a in range(1, m) for s in sums[a] for t in by_size[m - a]
+        )
+        by_size[m] = sums[m] + skews[m]
+    return by_size

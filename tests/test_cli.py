@@ -296,20 +296,27 @@ def test_perms_rejects_nonpositive_n(capsys, family, n):
 
 def test_perms_budget_is_config_error(capsys):
     code, _, err = run(capsys, "perms", "--family", "separable", "--n", "11")
-    assert code == EXIT_CONFIG and "capped" in err
+    assert code == EXIT_CONFIG
+    assert "would hold 1296281 permutations, over the budget of 1000000" in err
 
 
 def test_perms_over_budget_n_leaves_the_out_file_alone(capsys, tmp_path):
     path = tmp_path / "perms.txt"
     path.write_bytes(b"kept\n")
     code, out, err = run(capsys, "perms", "--family", "separable", "--n", "11", "--out", str(path))
-    assert code == EXIT_CONFIG and "capped at n = 10" in err and out == ""
+    assert code == EXIT_CONFIG and out == ""
+    assert "would hold 1296281 permutations, over the budget of 1000000" in err
     assert path.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize(
     "family, n, size",
-    [("grass-tree", "11", 2662953), ("grass-forest", "10", 7366079), ("grass-forest", "15", None)],
+    [
+        ("grass-tree", "11", 2662953),
+        ("grass-forest", "10", 7366079),
+        ("grass-forest", "15", None),
+        ("separable", "11", 1296281),
+    ],
 )
 def test_perms_refuses_an_oversized_closure_before_it_starts(
     capsys, monkeypatch, tmp_path, family, n, size
@@ -319,6 +326,7 @@ def test_perms_refuses_an_oversized_closure_before_it_starts(
 
     monkeypatch.setattr(cli.perms, "grass_tree_permutation_sets", never)
     monkeypatch.setattr(cli.perms, "grass_forest_permutation_sets", never)
+    monkeypatch.setattr(cli.perms, "separable_permutation_sets", never)
     path = tmp_path / "perms.txt"
     path.write_bytes(b"kept\n")
     code, out, err = run(capsys, "perms", "--family", family, "--n", n, "--out", str(path))
@@ -334,7 +342,7 @@ def test_separable_perms_obey_the_order_cap_first(capsys, monkeypatch, tmp_path)
     def never(*args, **kwargs):
         raise AssertionError("permutations were enumerated")
 
-    monkeypatch.setattr(cli.perms, "enumerate_separable", never)
+    monkeypatch.setattr(cli.perms, "separable_permutation_sets", never)
     path = tmp_path / "perms.txt"
     path.write_bytes(b"kept\n")
     argv = ["perms", "--family", "separable", "--n", "9", "--out", str(path)]
@@ -459,7 +467,7 @@ def test_unwritable_out_is_config_error_before_computing(capsys, monkeypatch, tm
         raise AssertionError("the computation ran")
 
     monkeypatch.setattr(genfun, "series_for", never)
-    monkeypatch.setattr(cli.perms, "enumerate_separable", never)
+    monkeypatch.setattr(cli.perms, "separable_permutation_sets", never)
     code, out, err = run(capsys, *argv, "--out", str(tmp_path))  # a directory
     assert code == EXIT_CONFIG and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err

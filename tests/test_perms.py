@@ -28,11 +28,12 @@ from gforest.perms import (
     cyclic_rotation,
     descents,
     direct_sum,
-    enumerate_separable,
     grass_forest_permutation_sets,
     grass_tree_permutation_sets,
-    is_separable,
     pi_perm,
+    separable_counts,
+    separable_permutation_sets,
+    skew_sum,
     trip_permutation,
 )
 
@@ -146,12 +147,15 @@ def test_codes_hold_at_most_63_letters(monkeypatch):
     assert trip_permutation(star(63)) == pi_perm(1, 63)
     a, b, c = pi_perm(1, 40), pi_perm(1, 23), pi_perm(1, 24)
     assert direct_sum(a, b) == DecoratedPermutation(a.images + tuple(v + 40 for v in b.images))
+    assert skew_sum(a, b) == DecoratedPermutation(tuple(v + 23 for v in a.images) + b.images)
     assert amalgamation(a, pi_perm(1, 25)) == pi_perm(1, 63)
     # Each refusal comes before any table is read or any trip is walked.
     monkeypatch.setattr(perms, "_SHIFT", None)
     monkeypatch.setattr(perms, "_exits", None)
     with pytest.raises(ValueError, match="a direct sum on 64 letters"):
         direct_sum(a, c)
+    with pytest.raises(ValueError, match="a skew sum on 64 letters"):
+        skew_sum(a, c)
     with pytest.raises(ValueError, match="an amalgamation on 64 letters"):
         amalgamation(a, pi_perm(1, 26))
     with pytest.raises(ValueError, match="a forest on 64 points"):
@@ -330,13 +334,23 @@ def test_antiexcedances_equal_helicity(n):
 # -- separable permutations ------------------------------------------------------
 
 
+def is_separable(images) -> bool:
+    """True when the permutation avoids both 2413 and 3142, by a scan over
+    its 4-element subsequences."""
+    for a, b, c, d in itertools.combinations(images, 4):
+        if c < a < d < b or b < d < a < c:
+            return False
+    return True
+
+
 def test_separable_histogram_n3():
-    assert enumerate_separable(3) == {0: 1, 1: 4, 2: 1}
+    assert Counter(map(descents, separable_permutation_sets(3)[3])) == {0: 1, 1: 4, 2: 1}
 
 
 def test_separable_totals_follow_large_schroeder():
+    sets = separable_permutation_sets(7)
     for n in range(1, 8):
-        assert sum(enumerate_separable(n).values()) == LARGE_SCHROEDER[n - 1]
+        assert len(sets[n]) == LARGE_SCHROEDER[n - 1]
 
 
 def test_separable_pattern_examples():
@@ -346,14 +360,52 @@ def test_separable_pattern_examples():
     assert is_separable((5, 4, 3, 2, 1))
 
 
-def test_separable_budget():
-    with pytest.raises(BudgetExceeded, match="capped at n = 10"):
-        enumerate_separable(11)
+@pytest.mark.parametrize(
+    "n",
+    list(range(1, 9))
+    + [pytest.param(9, marks=pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1"))],
+)
+def test_separable_permutations_match_the_brute_force(n):
+    # The reference filters all n! permutations for 2413 and 3142; the
+    # builder makes each member once.
+    built = [w.images for w in separable_permutation_sets(n)[n]]
+    reference = {w for w in itertools.permutations(range(1, n + 1)) if is_separable(w)}
+    assert len(built) == len(set(built)) and set(built) == reference
+
+
+def test_skew_sum_examples():
+    one = pi_perm(0, 1)
+    swap = DecoratedPermutation((2, 1))
+    assert skew_sum(one, one).images == (2, 1)
+    assert skew_sum(swap, one).images == (3, 2, 1)
+    assert skew_sum(one, swap) == DecoratedPermutation((3, 2, 1), ((2, "black"),))
+    assert skew_sum(swap, swap).images == (4, 3, 2, 1)
+
+
+def test_separable_counts_are_plabic_tree_coefficients():
+    # A separable permutation on m letters is a plabic tree on m + 1 leaves.
+    counts = separable_counts(14)
+    series = build_tree_gf(GFKind.PLABIC_TREE, 15).eval_q(1)
+    assert list(counts) == list(range(1, 15))
+    for m, count in counts.items():
+        assert count == series[m + 1].eval_y(1).constant_coefficient(), m
+
+
+def test_separable_budget(monkeypatch):
+    def never(*args):
+        raise AssertionError("a permutation was built")
+
+    for name in ("pi_perm", "direct_sum", "skew_sum"):
+        monkeypatch.setattr(perms, name, never)
+    with pytest.raises(
+        BudgetExceeded, match="would hold 1296281 permutations, over the budget of 1000000"
+    ):
+        separable_permutation_sets(11)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_separable_descents_match_plabic_tree_series(n):
-    hist = enumerate_separable(n - 1)
+    hist = Counter(map(descents, separable_permutation_sets(n - 1)[n - 1]))
     series = build_tree_gf(GFKind.PLABIC_TREE, n).eval_q(1)
     for k in range(1, n):
         assert hist.get(k - 1, 0) == series[n].coefficient(k, 0), (n, k)
@@ -475,38 +527,45 @@ def test_closures_are_pinned_at_n_seven(family, closure):
     assert (len(keys), digest.hexdigest()) == CLOSURE_DIGESTS_N7[family]
 
 
+# (kind, builder, shift): the builder's set on n letters holds [x^(n + shift)]
+# of the kind's series at y = q = 1.
 CLOSURES = [
-    (GFKind.GRASS_TREE, grass_tree_permutation_sets),
-    (GFKind.GRASS_FOREST, grass_forest_permutation_sets),
+    (GFKind.GRASS_TREE, grass_tree_permutation_sets, 0),
+    (GFKind.GRASS_FOREST, grass_forest_permutation_sets, 0),
+    (GFKind.PLABIC_TREE, separable_permutation_sets, 1),
 ]
 
 
 @pytest.mark.parametrize(
-    "kind, closure, max_n",
-    [pytest.param(kind, closure, 6, id=f"{kind}-{closure.__name__}") for kind, closure in CLOSURES]
+    "kind, closure, shift, max_n",
+    [
+        pytest.param(kind, closure, shift, 6, id=f"{kind}-{closure.__name__}")
+        for kind, closure, shift in CLOSURES
+    ]
     + [
         pytest.param(
             kind,
             closure,
+            shift,
             8,
             id=f"{kind}-{closure.__name__}-8",
             marks=pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1"),
         )
-        for kind, closure in CLOSURES
+        for kind, closure, shift in CLOSURES
     ],
 )
-def test_closure_sizes_are_the_series_coefficients_at_y_q_one(kind, closure, max_n):
+def test_closure_sizes_are_the_series_coefficients_at_y_q_one(kind, closure, shift, max_n):
     sets = closure(max_n)
-    series = series_for(kind, max_n)
+    series = series_for(kind, max_n + shift)
     for n in range(1, max_n + 1):
-        assert len(sets[n]) == series[n].eval_q(1).eval_y(1).constant_coefficient(), n
+        assert len(sets[n]) == series[n + shift].eval_q(1).eval_y(1).constant_coefficient(), n
 
 
 @pytest.mark.parametrize(
     "closure, max_n",
     [
         pytest.param(closure, n, id=f"{closure.__name__}-{n}", marks=marks)
-        for _, closure in CLOSURES
+        for _, closure, _ in CLOSURES
         for n, marks in ((7, ()), (8, pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1")))
     ],
 )
