@@ -14,7 +14,8 @@ v N(v) (1 - x(1+y) - xyq v) = x D(v), so the forest needs no tree series.
 `series.algebraic_root` solves each equation order by order (Flajolet and
 Sedgewick, *Analytic Combinatorics*, VII.6).  The paper's route, a second
 compositional inversion of x / (1 + G_tree), is Speicher's transform in
-`transforms`, which the tests compare with these builds.  An independent
+`transforms`, which the tests compare with these builds; it takes the
+root g of g = x (1 + G_tree(g)) from the same recurrence.  An independent
 Lagrange-inversion route (`forest_gf_via_lagrange`) and the transcribed
 polynomial relations stored in data/ (`verify_algebraic_relation`) check
 the forest series with another kernel.

@@ -14,11 +14,11 @@ during multiplication into a single integer add.  Exponents up to
 A sum of products is `dot`: every term product goes into a single dict,
 cleaned once at the end; `*` is `dot` of one pair.  `dot` is the kernel of
 Miller's power recurrence, the Lagrange route and the relation residual.
-The series product, quotient, reversion and algebraic root do not call
-it: they run on Kronecker-packed ints (`pack`, `unpack`), the ring
-homomorphism P(y, q) -> P(2^(b*stride), 2^b), with slots sized by a Cauchy
-majorant (`slot_width`), so the cross-checks and the series build multiply
-with different kernels.
+The series product, quotient and algebraic root (which also gives the
+reversion) do not call it: they run on Kronecker-packed ints (`pack`,
+`unpack`), the ring homomorphism P(y, q) -> P(2^(b*stride), 2^b), with
+slots sized by a Cauchy majorant (`slot_width`), so the cross-checks and
+the series build multiply with different kernels.
 
 Values are immutable after construction; all operations return new
 polynomials and are safe to use concurrently.
@@ -238,16 +238,6 @@ class BivarPoly:
             return self.scale(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        a, b = self._t, other._t
-        if not a or not b:
-            return _ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            ((ka, ca),) = a.items()
-            if ka == 0 and ca == 1:
-                return BivarPoly._raw(dict(b))
-            return BivarPoly._raw({k + ka: c * ca for k, c in b.items()})
         return dot(((self, other),))
 
     __rmul__ = __mul__

@@ -4,14 +4,14 @@ A series of order N knows its coefficients for x^0 .. x^N and claims
 nothing beyond.  Combining series of different orders truncates to the
 smaller order; comparing series of different orders is an error.
 
-Compositional inversion solves [x^m] f(g) = 0 order by order, keeping
-the coefficients of the powers of g found so far; it needs only products
-and sums of coefficients.  Composition (`compose`, Horner's rule over
-series products) and Lagrange inversion (`lagrange_coefficient`, which
-never builds the inverse) use other recurrences, so either can
-cross-validate it; the Lagrange route also uses another kernel.
-`power_coefficient`, the shared helper behind the Lagrange route, gives
-[x^m] f^e by Miller's recurrence without building any power of f.
+The compositional inverse g of f is the root v = O(x) of f(v) - x = 0,
+so `reversion` is a case of `algebraic_root` below.  Composition
+(`compose`, Horner's rule over series products) and Lagrange inversion
+(`lagrange_coefficient`, which never builds the inverse) use other
+recurrences, so either can cross-validate it; the Lagrange route also uses
+another kernel.  `power_coefficient`, the shared helper behind the Lagrange
+route, gives [x^m] f^e by Miller's recurrence without building any power
+of f.
 
 Coefficients are `BivarPoly`s over the integers, and each operation
 inverts one coefficient, which must be 1 or -1, its own inverse: the x^0
@@ -27,12 +27,13 @@ the generating functions need, of the denominator of C and of
 `algebraic_root` gives the root v = O(x) of a polynomial equation
 sum_j (c0[j] + x c1[j]) v^j = 0 order by order: each new coefficient is a
 dot over the powers of v already known, O(d n^2) coefficient products for
-degree d against the reversion's O(n^3).
+degree d in v.  A reversion to order n is the case d = n, c1 = [-1], and
+Speicher's transform (`transforms.speicher_transform`) the case c0 = [0, 1].
 
-The product, the quotient, the reversion and the algebraic root each run
-their whole recurrence on Kronecker-packed ints: each input coefficient is
-packed once (`ring.pack`), and each output coefficient unpacked once
-(`ring.unpack`), as balanced base-2^b digits.  The slot width b comes from the same
+The product, the quotient and the algebraic root each run their whole
+recurrence on Kronecker-packed ints: each input coefficient is packed once
+(`ring.pack`), and each output coefficient unpacked once (`ring.unpack`),
+as balanced base-2^b digits.  The slot width b comes from the same
 recurrence run on the inputs' l1 norms with every sign positive, a Cauchy
 majorant of each output coefficient, and the q-stride from the same
 recurrence run in (max, +) on q-degrees.  The algebraic root may take its
@@ -117,24 +118,6 @@ def _quotient(ops, a, b):
     for i in range(len(a)):
         out.append(ops.times(u, ops.plus(a[i], ops.minus(ops.dot(b[1 : i + 1], out[::-1])))))
     return out
-
-
-def _reversion(ops, f):
-    """The compositional inverse g of f, where f_0 = 0 and f_1 = u is 1 or -1.
-
-    g_0 = 0, g_1 = 1/u = u and, for m >= 2,
-        g_m = -u sum_{j=2..m} f_j [x^m] g^j,
-    where [x^m] g^j = sum_{i>=1} g_i [x^(m-i)] g^(j-1) needs only
-    g_1 .. g_(m-1)."""
-    n, u = len(f) - 1, f[1]
-    g = [f[0], u] + [None] * (n - 1)
-    powers = [None, g]  # powers[j][m] = [x^m] g^j, filled for m below the next g_m
-    for m in range(2, n + 1):
-        powers.append([None] * (n + 1))
-        for j in range(2, m + 1):
-            powers[j][m] = ops.dot(g[1 : m - j + 2], powers[j - 1][m - 1 : j - 2 : -1])
-        g[m] = ops.minus(ops.times(u, ops.dot(f[2 : m + 1], [row[m] for row in powers[2:]])))
-    return g
 
 
 def _algebraic(ops, c0, c1, n):
@@ -344,15 +327,9 @@ class TruncSeries:
         """Compositional inverse g with self(g) = g(self) = x up to the order.
 
         Requires a zero constant term and 1 or -1 as the x^1 coefficient;
-        `_reversion` gives the recurrence.
+        g is the root of self(v) - x = 0, so `algebraic_root` gives it.
         """
-        f = self._c
-        if f[0]:
-            raise NotInvertible("series with nonzero constant term has no inverse")
-        if self.order < 1:
-            raise NotInvertible("order 0 series cannot be inverted")
-        _unit(f[1], NotInvertible, "x^1")
-        return TruncSeries(_packed(_reversion, f), self.order)
+        return algebraic_root(self._c, (-1,), self.order)
 
     # -- coefficient-wise helpers --------------------------------------------
 
@@ -370,9 +347,9 @@ def algebraic_root(c0, c1, order: int, divisor=(1,)) -> TruncSeries:
     """The root v = O(x) of sum_j (c0[j] + x c1[j]) v^j = 0 to the given
     order, for coefficient lists c0 and c1 (polynomials in y and q).
 
-    Needs c0[0] = 0 and 1 or -1 as c0[1], the linear coefficient, as
-    `reversion` needs of its x^1 coefficient; `_algebraic` gives the
-    recurrence, one `dot` per power of v and order.
+    Needs c0[0] = 0 and 1 or -1 as c0[1], the linear coefficient (else
+    `NotInvertible`); `_algebraic` gives the recurrence, one `dot` per power
+    of v and order.
 
     The root also solves the equation divided by `divisor`(v), a polynomial
     in v with constant term 1, whose coefficients are then series in v.  The

@@ -1,6 +1,7 @@
 """Aggregate generating functions from per-block / per-vertex weights.
 
-Three variants of the same compositional mechanism:
+Three variants of the same compositional mechanism, each the root of an
+algebraic equation solved by `series.algebraic_root`:
 
 * ``speicher_transform`` -- weights on blocks of a noncrossing partition;
 * ``tree_transform`` -- weights on internal vertices of series-reduced
@@ -17,8 +18,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-from .ring import ONE, BivarPoly, as_poly
-from .series import TruncSeries
+from .ring import ONE, as_poly
+from .series import TruncSeries, algebraic_root
 
 
 class InvalidWeight(ValueError):
@@ -71,14 +72,14 @@ def speicher_transform(f, order: int | None = None) -> TruncSeries:
     """Noncrossing-partition aggregate of a block-weight series.
 
     Input F = 1 + sum f(n) x^n; output H with [x^n]H the sum over
-    noncrossing partitions of [n] of the product of block weights,
-    obtained by inverting x/F compositionally.
+    noncrossing partitions of [n] of the product of block weights.
+    H = g/x, where g, the compositional inverse of x/F, is the root of
+    g = x F(g) (Speicher, Math. Ann. 298, 1994).
     """
     F = _as_series(f, order, nc_weight_series)
     if not F[0].is_one():
         raise InvalidWeight("block-weight series must have constant term 1")
-    recip = TruncSeries.one(F.order) / F
-    return recip.shift_up(1).reversion().shift_down(1)
+    return algebraic_root([0, 1], [-c for c in F.coefficients()], F.order + 1).shift_down(1)
 
 
 def tree_transform(f, order: int | None = None) -> TruncSeries:
@@ -92,7 +93,7 @@ def tree_transform(f, order: int | None = None) -> TruncSeries:
     F = _as_series(f, order, vertex_weight_series)
     if any(F[i] for i in range(min(3, F.order + 1))):
         raise InvalidWeight("vertex-weight series must vanish below x^3")
-    if F.order < 1:
+    if F.order < 2:
         raise InvalidWeight("order too small for the tree aggregate")
     c = TruncSeries.x(F.order - 1) - F.shift_down(1)
     return c.reversion().shift_up(1)

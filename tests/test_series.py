@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gforest import genfun, series
-from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot
+from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, as_poly, dot
 from gforest.series import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
@@ -399,8 +399,10 @@ def test_algebraic_root_divisor_needs_the_constant_term_one():
 @example(S([0, 1, BIG, 0, 0, 0]), [1, -BIG])  # the divisor takes the x^2 term out
 @settings(max_examples=30, deadline=None)
 def test_algebraic_root_of_f_minus_x_is_the_reversion(f, divisor):
-    # f(v) - x = 0 is solved by the compositional inverse of f, and so is the
-    # equation divided by any divisor with constant term 1.
+    # `reversion` is `algebraic_root`'s plain path on f(v) - x = 0, so this
+    # compares the divisor path with the plain path: the equation divided by
+    # a divisor with constant term 1 has the same root, and only its
+    # majorant run, which sizes the slots, differs.
     assert algebraic_root(f.coefficients(), [-1], f.order, divisor) == f.reversion()
 
 
@@ -408,10 +410,24 @@ def test_algebraic_root_of_f_minus_x_is_the_reversion(f, divisor):
 _POLYS = series._Ops(lambda xs, ys: dot(zip(xs, ys)), mul, add, neg)
 
 
-@pytest.mark.parametrize("kind", list(genfun.GFKind))
+# Shapes of equation the four genfun equations never give, each with
+# coefficients above 2^70 of either sign: f(v) - x = 0 of a reversion, whose
+# c0 has the degree of the order, and v = x F(v) of Speicher's transform,
+# whose c1 is long.
+SHAPED_EQUATIONS = {
+    "reversion": ([0, -1, HIGH, BIG * Y, -BIG, Q * Q, ZERO, 3 * HIGH, -Y], [-1], 8),
+    "speicher": ([0, 1], [-1, BIG, -HIGH, BIG * Q, ZERO, -BIG * Y, HIGH, 7, -BIG * BIG], 9),
+}
+
+
+@pytest.mark.parametrize("kind", [*genfun.GFKind, *SHAPED_EQUATIONS])
 def test_algebraic_recurrence_on_polys_equals_the_packed_run(kind):
-    c0, c1 = genfun._equation(kind)
-    n = 16
+    if kind in SHAPED_EQUATIONS:
+        c0, c1, n = SHAPED_EQUATIONS[kind]
+        c0, c1 = [as_poly(c) for c in c0], [as_poly(c) for c in c1]
+    else:
+        c0, c1 = genfun._equation(kind)
+        n = 16
     v = series._algebraic(_POLYS, c0, c1, n)
     assert list(algebraic_root(c0, c1, n).coefficients()) == v
     norms = series._algebraic(series._MAJORANT, series._norms(c0), series._norms(c1), n)

@@ -13,7 +13,7 @@ from gforest.oracle import (
     enumerate_trees,
     tree_type_vector,
 )
-from gforest.ring import ONE, ZERO, BivarPoly, Y
+from gforest.ring import ONE, ZERO, BivarPoly, Q, Y
 from gforest.series import TruncSeries
 from gforest.transforms import (
     InvalidWeight,
@@ -133,6 +133,17 @@ def test_tree_rejects_low_degree_weights():
         tree_transform({2: 1}, 5)
     with pytest.raises(InvalidWeight):
         tree_transform(TruncSeries([0, 1, 0, 1], 3))
+
+
+def test_tree_and_forest_refuse_orders_below_two():
+    # The aggregate x^2 + ... needs order 2; below it the refusal is the
+    # transform's own, not an error from inside the series layer.
+    for order in (0, 1):
+        with pytest.raises(InvalidWeight, match="order too small"):
+            tree_transform({3: Y}, order)
+        with pytest.raises(InvalidWeight, match="order too small"):
+            forest_transform({3: Q}, Y, order=order)
+    assert tree_transform({3: Y}, 2) == TruncSeries([0, 0, 1])
 
 
 @pytest.mark.parametrize("seed", range(7))
