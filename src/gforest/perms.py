@@ -251,30 +251,26 @@ def trip_permutation(G) -> DecoratedPermutation:
         n += len(block)
     if n > MAX_LETTERS:
         raise ValueError(f"a forest on {n} points: a code holds at most {MAX_LETTERS} letters")
-    # Mark each label's slot: a label of another type, out of range or marked
-    # twice means the blocks do not partition [n].
+    # Each label is checked as its image is written: a label of another type,
+    # out of range or already written means the blocks do not partition [n].
     images = [0] * n
-    for block, _ in G:
-        for p in block:
-            if type(p) is not int or not 0 < p <= n or images[p - 1]:
-                raise ValueError(f"the blocks of {G} do not partition [{n}]")
-            images[p - 1] = p
     for block, dec in G:
         if len(block) == 1:
             if dec not in (0, 1):
                 raise ValueError(f"leaf {block[0]} has helicity {dec}, not 0 or 1")
-            if dec == 1:  # the mark is the fixed point; white adds the flag
-                images[block[0] - 1] += WHITE_FLAG
+            exits = (0,)
         elif len(block) == 2:
-            a, b = block
-            images[a - 1] = b
-            images[b - 1] = a
+            exits = (1, 0)
         else:
             exits = _exits(dec)
             if len(exits) != len(block):
                 raise ValueError(f"a tree with {len(exits) - 1} leaves on block {block}")
-            for p, e in zip(block, exits):
-                images[p - 1] = block[e]
+        for p, e in zip(block, exits):
+            if type(p) is not int or not 0 < p <= n or images[p - 1]:
+                raise ValueError(f"the blocks of {G} do not partition [{n}]")
+            images[p - 1] = block[e]
+        if dec == 1 and len(block) == 1:  # a white fixed point
+            images[p - 1] += WHITE_FLAG
     return bytes.__new__(DecoratedPermutation, images)
 
 

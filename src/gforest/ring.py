@@ -14,17 +14,22 @@ during multiplication into a single integer add.  Exponents up to
 A sum of products is `dot`: every term product goes into a single dict,
 cleaned once at the end; `*` is `dot` of one pair.  `dot` is the kernel of
 Miller's power recurrence, the Lagrange route and the relation residual.
-The series product, quotient and algebraic root (which also gives the
-reversion) do not call it: they run on Kronecker-packed ints (`pack`,
-`unpack`), the ring homomorphism P(y, q) -> P(2^(b*stride), 2^b), with
-slots sized by a Cauchy majorant (`slot_width`), so the cross-checks and
-the series build multiply with different kernels.
+The series product, quotient and algebraic root (also the reversion) make
+no coefficient with it: they run on Kronecker-packed ints (`pack`, `unpack`),
+the ring homomorphism P(y, q) -> P(2^(b*stride), 2^b), with slots sized by
+a Cauchy majorant (`slot_width`), so the cross-checks and the series build
+multiply with different kernels.
+
+`to_text`, `to_latex` and the CLI's table rows (`y_rows`) share one
+formatter, `format_terms`, which reads monomial strings built on first use.
 
 Values are immutable after construction; all operations return new
 polynomials and are safe to use concurrently.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 _SHIFT = 20
 _MASK = (1 << _SHIFT) - 1
@@ -79,7 +84,7 @@ def unpack(v: int, width: int, stride: int) -> "BivarPoly":
     a carry, so one conversion to bytes reads them all.  The terms are
     stored in canonical order."""
     if not v:
-        return _ZERO
+        return ZERO
     bits = 8 * width
     half = 1 << (bits - 1)
     count = (abs(v).bit_length() + bits) // bits + 1  # enough slots for v's top digit
@@ -104,11 +109,41 @@ def _int(c) -> int:
 
 
 def _canonical(t) -> list:
-    """t's packed keys by dq, then dy, both descending: packed keys sort by dy
-    then dq, and a stable sort on dq alone keeps that order within each dq."""
+    """t's (packed key, coefficient) terms by dq, then dy, both descending: keys
+    sort by dy then dq, and a stable sort on dq alone keeps that within each dq."""
     keys = sorted(t, reverse=True)
     keys.sort(key=_MASK.__and__, reverse=True)
-    return keys
+    return [(k, t[k]) for k in keys]
+
+
+class _Monomials(dict):
+    """Packed exponent -> (its term with coefficient 1, with -1, and what
+    follows any other coefficient) in one format, built on first use."""
+
+    def __init__(self, sep: str, wide: str):
+        self.sep, self.wide = sep, wide  # factor separator; template of an exponent >= 10
+
+    def __missing__(self, k):
+        m = self.sep.join(
+            v if e == 1 else v + (self.wide if e >= 10 else "^{}").format(e)
+            for v, e in (("y", k >> _SHIFT), ("q", k & _MASK)) if e
+        )
+        self[k] = ("+" + m, "-" + m, self.sep + m) if k else ("+1", "-1", "")
+        return self[k]
+
+
+TEXT = _Monomials("", "^{}")  # q^4+4q^3+6, y^2q^10
+LATEX = _Monomials(" ", "^{{{}}}")  # q^{12}+4 q^3+6, y^2 q^{10}
+
+
+def format_terms(terms, monomials: _Monomials) -> str:
+    """The (packed exponent, coefficient) terms as one sum, in the order given,
+    in the format of `monomials` (`TEXT` or `LATEX`); "0" for no terms."""
+    out = []
+    for k, c in terms:
+        plus, minus, times = monomials[k]
+        out.append(plus if c == 1 else minus if c == -1 else f"{c:+}{times}")
+    return "".join(out).removeprefix("+") or "0"
 
 
 class BivarPoly:
@@ -131,7 +166,7 @@ class BivarPoly:
 
     @classmethod
     def _raw(cls, t: dict) -> "BivarPoly":
-        # Trusted constructor: t already packed and canonical.
+        # Trusted constructor: t maps packed keys to nonzero ints, in any order.
         p = object.__new__(cls)
         p._t = t
         return p
@@ -168,8 +203,7 @@ class BivarPoly:
 
     def terms(self) -> list:
         """[((dy, dq), coeff), ...] in canonical order: dq then dy, both descending."""
-        t = self._t
-        return [((k >> _SHIFT, k & _MASK), t[k]) for k in _canonical(t)]
+        return [((k >> _SHIFT, k & _MASK), c) for k, c in _canonical(self._t)]
 
     def term_map(self) -> dict:
         return {(k >> _SHIFT, k & _MASK): c for k, c in self._t.items()}
@@ -245,7 +279,7 @@ class BivarPoly:
     def scale(self, c):
         c = _int(c)
         if not c:
-            return _ZERO
+            return ZERO
         if c == 1:
             return self
         return BivarPoly._raw({k: v * c for k, v in self._t.items()})
@@ -307,56 +341,33 @@ class BivarPoly:
             {k & _MASK: c for k, c in self._t.items() if k >> _SHIFT == dy}
         )
 
-    def y_parts(self, lo: int, hi: int) -> dict:
-        """{dy: the polynomial in q multiplying y^dy} for lo <= dy <= hi,
-        split in one pass.
-
-        Only y-degrees that have terms are keys; for lo <= dy <= hi,
-        `y_coefficient(dy)` is `y_parts(lo, hi).get(dy, ZERO)`."""
-        start, stop = lo << _SHIFT, (hi + 1) << _SHIFT
-        parts = {}
-        for k, c in self._t.items():
-            if not start <= k < stop:
-                continue
-            part = parts.get(k >> _SHIFT)
-            if part is None:
-                parts[k >> _SHIFT] = part = {}
-            part[k & _MASK] = c
-        return {dy: BivarPoly._raw(part) for dy, part in parts.items()}
+    def y_rows(self, lo: int, hi: int):
+        """Yields (dy, [(dq, c), ...]) for lo <= dy <= hi: the terms of
+        `y_coefficient(dy)` in canonical order, [] where it is 0.  y^dy's keys
+        are the run [dy << _SHIFT, (dy + 1) << _SHIFT) of the sorted keys,
+        found by bisection; reversed, they are in canonical order."""
+        t = self._t
+        keys = sorted(t)
+        i = bisect_left(keys, lo << _SHIFT)
+        for dy in range(lo, hi + 1):
+            j = bisect_left(keys, (dy + 1) << _SHIFT, i)
+            yield dy, [(k & _MASK, t[k]) for k in reversed(keys[i:j])]
+            i = j
 
     # -- rendering -------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form: terms in decreasing q-degree, e.g. q^4+4q^3+6."""
-        return self._render("", "^{}")
+        return format_terms(_canonical(self._t), TEXT)
 
     def to_latex(self) -> str:
-        return self._render(" ", "^{{{}}}")
-
-    def _render(self, sep, wide) -> str:
-        """The terms in canonical order, factors joined by sep; an exponent of
-        10 or more is written with the `wide` format template."""
-        t = self._t
-        if not t:
-            return "0"
-        out = []
-        for k in _canonical(t):
-            c = t[k]
-            dy, dq = k >> _SHIFT, k & _MASK
-            factors = [] if k and (c == 1 or c == -1) else [str(abs(c))]
-            if dy:
-                factors.append("y" if dy == 1 else "y" + (wide if dy >= 10 else "^{}").format(dy))
-            if dq:
-                factors.append("q" if dq == 1 else "q" + (wide if dq >= 10 else "^{}").format(dq))
-            out += ("-" if c < 0 else "+"), sep.join(factors)
-        return "".join(out).removeprefix("+")
+        return format_terms(_canonical(self._t), LATEX)
 
     def __repr__(self):
         return f"BivarPoly({self.to_text()})"
 
 
-_ZERO = BivarPoly._raw({})
-ZERO = _ZERO
+ZERO = BivarPoly._raw({})
 ONE = BivarPoly._raw({0: 1})
 Y = BivarPoly.monomial(dy=1)
 Q = BivarPoly.monomial(dq=1)

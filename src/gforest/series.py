@@ -37,10 +37,10 @@ as balanced base-2^b digits.  The slot width b comes from the same
 recurrence run on the inputs' l1 norms with every sign positive, a Cauchy
 majorant of each output coefficient, and the q-stride from the same
 recurrence run in (max, +) on q-degrees.  The algebraic root may take its
-majorant from the equation divided by a polynomial in v, which has the same
-root and far less cancellation of signs.  `power_coefficient`, and so
-`lagrange_coefficient`, stays on `ring.dot`, one call per coefficient, so
-that the Lagrange route checks the packed builds with an independent kernel.
+majorant from the equation divided (on `ring.dot`) by a polynomial in v,
+with the same root and far less cancellation of signs.  `power_coefficient`,
+and so `lagrange_coefficient`, stays on `ring.dot`, one call per coefficient,
+so that the Lagrange route checks the packed builds with another kernel.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def _unit(c: BivarPoly, error, where: str) -> int:
 # ints (`_INTS`), on l1 norms (`_MAJORANT`, which bounds each output's norm
 # and so each of its coefficients) and on q-degrees (`_DEGREES`).  The unit a
 # recurrence divides by is the coefficient itself, 1 or -1: its norm 1 and
-# its q-degree 0 are the identities of the other two runs.
+# its q-degree 0 are the identities of the other two runs.  `_POLYS` runs a
+# recurrence on the polynomials themselves, one `ring.dot` per sum.
 
 
 class _Ops(NamedTuple):
@@ -104,6 +105,7 @@ def _degree_dot(xs, ys):
 _INTS = _Ops(_int_dot, mul, add, neg)
 _MAJORANT = _Ops(_int_dot, mul, add, pos)
 _DEGREES = _Ops(_degree_dot, add, max, pos)
+_POLYS = _Ops(lambda xs, ys: dot(zip(xs, ys)), mul, add, neg)
 
 
 def _product(ops, a, b):
@@ -361,16 +363,17 @@ def algebraic_root(c0, c1, order: int, divisor=(1,)) -> TruncSeries:
     if len(c0) < 2 or c0[0] or not c1:
         raise NotInvertible("the equation needs c0[0] = 0, a linear term and a c1")
     _unit(c0[1], NotInvertible, "v^1")
-    e = TruncSeries(divisor, order + 1)
-    if not e[0].is_one():
+    e = [as_poly(c) for c in divisor]
+    if not (e and e[0].is_one()):
         raise ValueError("the divisor needs the constant term 1")
 
     def run(ops, a, b):
         return _algebraic(ops, a, b, order)
 
     bounds = None  # the majorant run of the equation itself
-    if any(e.coefficients()[1:]):
-        quotients = [(TruncSeries(cs, order + 1) / e).coefficients() for cs in (c0, c1)]
+    if any(e[1:]):
+        # c0 / e and c1 / e to v^(order+1), by b_j = a_j - sum_{k>=1} e_k b_(j-k)
+        quotients = [_quotient(_POLYS, TruncSeries(cs, order + 1)._c, e) for cs in (c0, c1)]
         bounds = run(_MAJORANT, *map(_norms, quotients))
     return TruncSeries(_packed(run, c0, c1, bounds=bounds), order)
 

@@ -8,7 +8,7 @@ import pytest
 
 from gforest import cli, genfun, oracle
 from gforest.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main, run_checks
-from gforest.ring import ZERO, BivarPoly
+from gforest.ring import BivarPoly
 from gforest.series import TruncSeries
 
 ROW_4_2 = "q^4+4q^3+10q^2+12q+6"
@@ -104,10 +104,10 @@ def _json_dumps_rows(rows):
             "n": n,
             "k": k,
             "coefficients": [
-                {"dy": dy, "dq": dq, "num": c, "den": 1} for (dy, dq), c in poly.terms()
+                {"dy": 0, "dq": dq, "num": c, "den": 1} for dq, c in terms
             ],
         }
-        for n, k, poly in rows
+        for n, k, terms in rows
     ]
     return json.dumps(data, indent=1)
 
@@ -124,9 +124,9 @@ def test_table_json_is_the_json_dumps_layout(kind):
 
 def test_json_writer_on_hand_made_rows():
     rows = [
-        (3, 2, ZERO),
-        (4, 2, BivarPoly({(0, 2): -7, (0, 0): 1})),
-        (5, 1, BivarPoly({(1, 3): -5, (0, 1): 3**50})),
+        (3, 2, []),
+        (4, 2, [(2, -7), (0, 1)]),
+        (5, 1, [(3, -5), (1, 3**50)]),
     ]
     for i in range(len(rows)):
         assert cli._json_rows(rows[i : i + 1]) == _json_dumps_rows(rows[i : i + 1])
@@ -416,6 +416,30 @@ def test_render_table_rejects_an_unknown_format_before_building(monkeypatch):
     monkeypatch.setattr(genfun, "series_for", never)
     with pytest.raises(cli.ConfigError, match="unknown format 'xml'"):
         cli.render_table(4, 6, genfun.GFKind.GRASS_FOREST, "xml", 14)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("n_min, n_max", [(-1, 5), (0, 5), (6, 3), (2, 1)])
+def test_render_table_rejects_a_bad_row_range_before_building(monkeypatch, fmt, n_min, n_max):
+    def never(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(genfun, "series_for", never)
+    with pytest.raises(cli.ConfigError, match=r"need 1 <= --n-min <= --n-max"):
+        cli.render_table(n_min, n_max, genfun.GFKind.GRASS_FOREST, fmt, 14)
+
+
+def test_table_refuses_a_bad_row_range_before_opening_out(capsys, monkeypatch, tmp_path):
+    def never(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(genfun, "series_for", never)
+    out_file = tmp_path / "table.txt"
+    for n_min, n_max in [("-1", "5"), ("6", "3")]:
+        code, out, err = run(capsys, "table", "--n-min", n_min, "--n-max", n_max,
+                             "--out", str(out_file))
+        assert code == EXIT_CONFIG and "--n-min" in err and out == ""
+        assert not out_file.exists()
 
 
 def test_check_compares_the_oracle_up_to_the_order_cap(capsys):

@@ -1,10 +1,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot, pack, slot_width, unpack
+from gforest.ring import (
+    LATEX,
+    ONE,
+    TEXT,
+    ZERO,
+    BivarPoly,
+    Q,
+    Y,
+    dot,
+    format_terms,
+    pack,
+    slot_width,
+    unpack,
+)
 from gforest.series import TruncSeries
 
 
@@ -268,26 +281,67 @@ def test_degrees_and_smallest_coefficient():
     assert (ONE.y_degree(), ONE.min_coefficient()) == (0, 1)
 
 
-@given(polys, st.integers(0, 5))
+@given(polys, st.integers(0, 3), st.integers(-1, 5))
 @settings(max_examples=60, deadline=None)
-def test_y_parts_are_the_y_coefficients(a, hi):
-    # The table's range: y^2 .. y^hi.
-    parts = a.y_parts(2, hi)
-    degrees = {dy for dy, _ in a.term_map() if 2 <= dy <= hi}
-    assert set(parts) == degrees
-    for dy in degrees:
-        assert typed(parts[dy]) == typed(a.y_coefficient(dy))
-    inside = P({(dy, dq): c for (dy, dq), c in a.term_map().items() if 2 <= dy <= hi})
-    assert sum((p * Y**dy for dy, p in parts.items()), ZERO) == inside
+def test_y_rows_are_the_y_coefficients(a, lo, hi):
+    # The table's range is y^2 .. y^(n // 2); every y-degree in it gets a row.
+    rows = list(a.y_rows(lo, hi))
+    assert [dy for dy, _ in rows] == list(range(lo, hi + 1))
+    for dy, terms in rows:
+        assert terms == [(dq, c) for (_, dq), c in a.y_coefficient(dy).terms()]
+        assert all(type(c) is int for _, c in terms)
 
 
-def test_y_parts_of_sparse_and_zero_polynomials():
-    assert ZERO.y_parts(2, 4) == {}
-    p = P({(3, 1): 3**50, (3, 0): -2, (0, 4): 5, (2, 2): 7, (5, 0): 1})
-    assert p.y_parts(2, 4) == {3: P({(0, 1): 3**50, (0, 0): -2}), 2: P({(0, 2): 7})}
-    assert p.y_parts(2, 2) == {2: P({(0, 2): 7})}
-    assert p.y_parts(2, 1) == {}
-    assert p.y_coefficient(4) == ZERO
+def test_y_rows_of_sparse_and_zero_polynomials():
+    assert list(ZERO.y_rows(2, 4)) == [(2, []), (3, []), (4, [])]
+    p = P({(3, 1): 3**50, (3, 0): -2, (0, 4): 5, (2, 2): 7, (5, 0): 1, (3, 12): -1})
+    assert list(p.y_rows(2, 4)) == [(2, [(2, 7)]), (3, [(12, -1), (1, 3**50), (0, -2)]), (4, [])]
+    assert list(p.y_rows(0, 1)) == [(0, [(4, 5)]), (1, [])]
+    assert list(p.y_rows(5, 6)) == [(5, [(0, 1)]), (6, [])]
+    assert list(p.y_rows(2, 1)) == []
+
+
+def _parent_render(p, sep, wide):
+    """The renderer `format_terms` replaced: canonical terms, one factor list
+    per term; an exponent of 10 or more is written with the `wide` template."""
+    out = []
+    for (dy, dq), c in p.terms():
+        factors = [] if (dy or dq) and (c == 1 or c == -1) else [str(abs(c))]
+        if dy:
+            factors.append("y" if dy == 1 else "y" + (wide if dy >= 10 else "^{}").format(dy))
+        if dq:
+            factors.append("q" if dq == 1 else "q" + (wide if dq >= 10 else "^{}").format(dq))
+        out += ("-" if c < 0 else "+"), sep.join(factors)
+    return "".join(out).removeprefix("+") or "0"
+
+
+PARENT_TEXT = ("", "^{}")
+PARENT_LATEX = (" ", "^{{{}}}")
+
+
+@given(wide_polys, st.integers(0, 12))
+@example(ZERO, 0)
+@example(P({(0, 0): 1, (0, 1): -1, (0, 12): 1, (1, 0): -1, (10, 10): 3**50}), 0)
+@example(P({(0, 0): -1, (3, 1): 1, (3, 10): -(3**50), (3, 11): -1}), 3)
+@example(P({(2, 0): 1, (5, 3): 7}), 4)  # row 4 is absent
+@settings(max_examples=120, deadline=None)
+def test_format_terms_writes_what_the_parent_renderer_wrote(p, dy):
+    assert p.to_text() == _parent_render(p, *PARENT_TEXT)
+    assert p.to_latex() == _parent_render(p, *PARENT_LATEX)
+    # A table row: y^dy's (dq, c) terms, whose packed exponent is dq.
+    (_, row), = p.y_rows(dy, dy)
+    part = p.y_coefficient(dy)
+    assert format_terms(row, TEXT) == _parent_render(part, *PARENT_TEXT)
+    assert format_terms(row, LATEX) == _parent_render(part, *PARENT_LATEX)
+
+
+def test_format_terms_of_rows():
+    assert format_terms([], TEXT) == format_terms([], LATEX) == "0"
+    row = [(12, 1), (10, -1), (3, 4), (1, -(3**50)), (0, -1)]
+    assert format_terms(row, TEXT) == f"q^12-q^10+4q^3-{3**50}q-1"
+    assert format_terms(row, LATEX) == f"q^{{12}}-q^{{10}}+4 q^3-{3**50} q-1"
+    assert format_terms([(0, 1)], TEXT) == "1"
+    assert format_terms([(1, -1), (0, 3**50)], LATEX) == f"-q+{3**50}"
 
 
 def test_json_terms():

@@ -1,6 +1,5 @@
 import math
 import random
-from operator import add, mul, neg
 
 import pytest
 from hypothesis import example, given, settings
@@ -406,10 +405,6 @@ def test_algebraic_root_of_f_minus_x_is_the_reversion(f, divisor):
     assert algebraic_root(f.coefficients(), [-1], f.order, divisor) == f.reversion()
 
 
-# `_algebraic` run on the dict kernel, one `ring.dot` per sum.
-_POLYS = series._Ops(lambda xs, ys: dot(zip(xs, ys)), mul, add, neg)
-
-
 # Shapes of equation the four genfun equations never give, each with
 # coefficients above 2^70 of either sign: f(v) - x = 0 of a reversion, whose
 # c0 has the degree of the order, and v = x F(v) of Speicher's transform,
@@ -428,10 +423,21 @@ def test_algebraic_recurrence_on_polys_equals_the_packed_run(kind):
     else:
         c0, c1 = genfun._equation(kind)
         n = 16
-    v = series._algebraic(_POLYS, c0, c1, n)
+    v = series._algebraic(series._POLYS, c0, c1, n)  # on the dict kernel
     assert list(algebraic_root(c0, c1, n).coefficients()) == v
     norms = series._algebraic(series._MAJORANT, series._norms(c0), series._norms(c1), n)
     assert all(c.norm() <= bound for c, bound in zip(v, norms))
+
+
+@given(wide_series(), wide_series(head=[1]).map(TruncSeries.coefficients))
+@example(S([HIGH, -BIG, Y, 0, Q]), [1, -(Q * Q) - Y * Q * Q, Y * Q**4])  # D_minus's shape
+@settings(max_examples=30, deadline=None)
+def test_divisor_recurrence_is_the_packed_quotient(a, divisor):
+    # `algebraic_root` sizes its slots from c0 / divisor and c1 / divisor,
+    # computed on `ring.dot` by the divisor's own recurrence over its
+    # coefficients, unpadded: the same polynomials as the packed quotient.
+    got = series._quotient(series._POLYS, a.coefficients(), [as_poly(c) for c in divisor])
+    assert got == list((a / TruncSeries(divisor, a.order)).coefficients())
 
 
 @pytest.mark.parametrize("kind", list(genfun.GFKind))
