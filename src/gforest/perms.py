@@ -31,6 +31,7 @@ from itertools import chain
 from operator import eq, gt, lt
 
 from .oracle import WHITE, BLACK
+from .ring import _Tables
 
 
 # The most permutations a family may hold over all its sizes.
@@ -56,18 +57,6 @@ def check_budget(family: str, max_n: int, size: int):
 
 class SizeTooSmall(ValueError):
     """Amalgamation needs both operands on at least two letters."""
-
-
-class _Tables(dict):
-    """Translation tables by size, each built on first use."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, n):
-        table = self[n] = self.build(n)
-        return table
 
 
 # Byte -> its letter, the flag cleared.
@@ -251,26 +240,26 @@ def trip_permutation(G) -> DecoratedPermutation:
         n += len(block)
     if n > MAX_LETTERS:
         raise ValueError(f"a forest on {n} points: a code holds at most {MAX_LETTERS} letters")
-    # Each label is checked as its image is written: a label of another type,
-    # out of range or already written means the blocks do not partition [n].
+    # Each label is checked in the loop that writes its image: a label of
+    # another type, out of range or already written means the blocks do not
+    # partition [n].  Single leaves, most components, take no exit table.
     images = [0] * n
     for block, dec in G:
         if len(block) == 1:
             if dec not in (0, 1):
                 raise ValueError(f"leaf {block[0]} has helicity {dec}, not 0 or 1")
-            exits = (0,)
-        elif len(block) == 2:
-            exits = (1, 0)
-        else:
-            exits = _exits(dec)
-            if len(exits) != len(block):
-                raise ValueError(f"a tree with {len(exits) - 1} leaves on block {block}")
+            (p,) = block
+            if type(p) is not int or not 0 < p <= n or images[p - 1]:
+                raise ValueError(f"the blocks of {G} do not partition [{n}]")
+            images[p - 1] = p + WHITE_FLAG if dec else p  # white adds the flag
+            continue
+        exits = (1, 0) if len(block) == 2 else _exits(dec)  # two leaves trip to each other
+        if len(exits) != len(block):
+            raise ValueError(f"a tree with {len(exits) - 1} leaves on block {block}")
         for p, e in zip(block, exits):
             if type(p) is not int or not 0 < p <= n or images[p - 1]:
                 raise ValueError(f"the blocks of {G} do not partition [{n}]")
             images[p - 1] = block[e]
-        if dec == 1 and len(block) == 1:  # a white fixed point
-            images[p - 1] += WHITE_FLAG
     return bytes.__new__(DecoratedPermutation, images)
 
 

@@ -30,6 +30,7 @@ polynomials and are safe to use concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 
 _SHIFT = 20
 _MASK = (1 << _SHIFT) - 1
@@ -84,7 +85,7 @@ def unpack(v: int, width: int, stride: int) -> "BivarPoly":
     a carry, so one conversion to bytes reads them all.  The terms are
     stored in canonical order."""
     if not v:
-        return ZERO
+        return _ZERO
     bits = 8 * width
     half = 1 << (bits - 1)
     count = (abs(v).bit_length() + bits) // bits + 1  # enough slots for v's top digit
@@ -116,27 +117,35 @@ def _canonical(t) -> list:
     return [(k, t[k]) for k in keys]
 
 
-class _Monomials(dict):
-    """Packed exponent -> (its term with coefficient 1, with -1, and what
-    follows any other coefficient) in one format, built on first use."""
+class _Tables(dict):
+    """Values by key, each built on first use: the monomial strings of each
+    output format below, and the translation tables of `perms`."""
 
-    def __init__(self, sep: str, wide: str):
-        self.sep, self.wide = sep, wide  # factor separator; template of an exponent >= 10
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
 
-    def __missing__(self, k):
-        m = self.sep.join(
-            v if e == 1 else v + (self.wide if e >= 10 else "^{}").format(e)
-            for v, e in (("y", k >> _SHIFT), ("q", k & _MASK)) if e
-        )
-        self[k] = ("+" + m, "-" + m, self.sep + m) if k else ("+1", "-1", "")
-        return self[k]
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
-TEXT = _Monomials("", "^{}")  # q^4+4q^3+6, y^2q^10
-LATEX = _Monomials(" ", "^{{{}}}")  # q^{12}+4 q^3+6, y^2 q^{10}
+def _monomial(sep: str, wide: str, k: int) -> tuple:
+    """Packed exponent k's term with coefficient 1, its term with -1, and what
+    follows any other coefficient: factors joined by sep, and an exponent of 10
+    or more written with the `wide` template."""
+    m = sep.join(
+        v if e == 1 else v + (wide if e >= 10 else "^{}").format(e)
+        for v, e in (("y", k >> _SHIFT), ("q", k & _MASK)) if e
+    )
+    return ("+" + m, "-" + m, sep + m) if k else ("+1", "-1", "")
 
 
-def format_terms(terms, monomials: _Monomials) -> str:
+TEXT = _Tables(partial(_monomial, "", "^{}"))  # q^4+4q^3+6, y^2q^10
+LATEX = _Tables(partial(_monomial, " ", "^{{{}}}"))  # q^{12}+4 q^3+6, y^2 q^{10}
+
+
+def format_terms(terms, monomials: _Tables) -> str:
     """The (packed exponent, coefficient) terms as one sum, in the order given,
     in the format of `monomials` (`TEXT` or `LATEX`); "0" for no terms."""
     out = []
@@ -279,7 +288,7 @@ class BivarPoly:
     def scale(self, c):
         c = _int(c)
         if not c:
-            return ZERO
+            return _ZERO
         if c == 1:
             return self
         return BivarPoly._raw({k: v * c for k, v in self._t.items()})
@@ -367,7 +376,8 @@ class BivarPoly:
         return f"BivarPoly({self.to_text()})"
 
 
-ZERO = BivarPoly._raw({})
+_ZERO = BivarPoly._raw({})
+ZERO = _ZERO
 ONE = BivarPoly._raw({0: 1})
 Y = BivarPoly.monomial(dy=1)
 Q = BivarPoly.monomial(dq=1)
