@@ -9,6 +9,12 @@ one min and one max over its terms) and takes its rows, each y^k's (dq,
 count) terms in canonical order, from one sorted list of its keys
 (`BivarPoly.y_rows`).  Text and LaTeX write a row by `ring.format_terms`,
 as `BivarPoly` does; CSV and JSON write its terms directly.
+
+`check` decides every verdict by one rule (`_verdict`): a check is a lazy
+stream of comparisons that FAILs at its first mismatch, and consumes no more;
+an IntegralityViolation raised while comparing is such a mismatch, so it is a
+FAIL line, not an `error:`.  Otherwise the check PASSes if anything was
+compared and is SKIPped if nothing was.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import contextlib
 import sys
 from collections import Counter
 from importlib import resources
+from itertools import groupby, product, tee
+from operator import itemgetter
 
 from . import genfun, oracle, perms
 from .genfun import GFKind
@@ -166,116 +174,104 @@ def cmd_perms(args) -> int:
     return EXIT_OK
 
 
-def run_checks(oracle_max_n: int, order: int):
-    """All cross-checks; yields (name, ok, detail) triples, with ok None
-    for a check that had nothing to compare."""
-    forest = genfun.series_for(GFKind.GRASS_FOREST, order)
+def _verdict(name: str, reason: str, results):
+    """(name, ok, detail) by the module's verdict rule from a check's `results`,
+    each None for a match or a mismatch's detail; ok None is SKIP, for `reason`."""
+    compared = 0
+    try:
+        for compared, detail in enumerate(results, 1):
+            if detail is not None:
+                return name, False, detail
+    except genfun.IntegralityViolation as exc:
+        return name, False, str(exc)
+    return (name, True, "") if compared else (name, None, reason)
 
-    got = render_table(4, min(12, order), GFKind.GRASS_FOREST, "text", order) if order >= 4 else ""
-    want = reference_table_text()
-    if min(12, order) < 12:
-        want = "".join(
-            line + "\n"
-            for line in want.splitlines()
-            if int(line[1 : line.index(",")]) <= order
-        )
-    detail = "" if got == want else next(
-        (
-            f"first differing line: got {a!r}, want {b!r}"
-            for a, b in zip(got.splitlines(), want.splitlines())
-            if a != b
-        ),
-        "row counts differ",
-    )
-    if order < 4:
-        yield "reference-table", None, "the reference rows start at n = 4"
-    else:
-        yield "reference-table", got == want, detail
 
-    ok, first = True, ""
-    for n in range(1, order + 1):
-        lag = genfun.forest_gf_via_lagrange(GFKind.GRASS_FOREST, n, order)
-        direct = genfun.extract_counts(forest, n)
-        if lag != direct:
-            ok, first = False, f"mismatch at n={n}"
-            break
-    yield "lagrange-dual-path", ok, first
+def _reference_mismatch(top: int):
+    """Rows 4 <= n <= top of the forest table against the reference rows."""
+    got = render_table(4, top, GFKind.GRASS_FOREST, "text", top).splitlines()
+    want = [r for r in reference_table_text().splitlines() if int(r[1 : r.index(",")]) <= top]
+    diffs = (f"first differing line: got {a!r}, want {b!r}" for a, b in zip(got, want) if a != b)
+    return None if got == want else next(diffs, "row counts differ")
 
-    # The checks below run up to oracle_max_n, within the order cap.
-    oracle_max_n = min(oracle_max_n, order)
-    unchecked = (None, "nothing to compare for --oracle-max-n < 1")
-    ok, first = (True, "") if oracle_max_n >= 1 else unchecked
-    for kind in GFKind if oracle_max_n >= 1 else ():
-        series = genfun.series_for(kind, oracle_max_n)
-        for n in range(1, oracle_max_n + 1):
-            counts = oracle.count_by_statistics(n, kind)
-            expect = genfun.extract_counts(series, n)
-            if counts != expect:
-                bad = sorted(set(counts.items()) ^ set(expect.items()))[0][0]
-                ok, first = False, f"{kind.value} first failing (n,k,r)=({n},{bad[0]},{bad[1]})"
-                break
-        if not ok:
-            break
-    yield "oracle-equivalence", ok, first
 
-    ok, first = (True, "") if order >= 4 else (None, "no 2 <= k <= n-2 for n < 4")
-    for n in range(2, min(12, order) + 1):
-        for k in range(2, n - 1):
-            value = genfun.euler_characteristic(GFKind.GRASS_FOREST, n, k)
-            if value != 1:
-                ok, first = False, f"({n},{k}) -> {value}"
-                break
-        if not ok:
-            break
-    yield "euler-characteristic", ok, first
+def _oracle_mismatches(max_n: int):
+    """Each kind's oracle counts against its series, n = 1 .. max_n."""
+    for kind, n in product(GFKind, range(1, max_n + 1)):
+        counts = oracle.count_by_statistics(n, kind)
+        expect = genfun.extract_counts(genfun.series_for(kind, max_n), n)
+        bad = counts != expect and min(set(counts.items()) ^ set(expect.items()))[0]
+        yield f"{kind.value} first failing (n,k,r)=({n},{bad[0]},{bad[1]})" if bad else None
 
-    for kind in GFKind:
-        if order < 6:
-            yield f"relation-{kind.value}", None, "the relations need order >= 6"
-            continue
-        rel_ok, report = genfun.verify_algebraic_relation(kind, min(12, order))
-        yield f"relation-{kind.value}", rel_ok, "" if rel_ok else report
 
-    # One pass over the contracted forests on n <= 6 points serves the last
-    # two checks; the trees are the single-component forests.
-    ok, first = (True, "") if oracle_max_n >= 1 else unchecked
-    limit = min(oracle_max_n, 6)
-    tree_trips = {n: set() for n in range(1, limit + 1)}
-    for n in tree_trips:
-        for F in oracle.enumerate_forests(n):
-            for G in oracle.decorate_grassmannian(F, contracted_only=True):
-                w = perms.trip_permutation(G)
-                if ok and perms.antiexcedances(w) != oracle.helicity(G):
-                    ok, first = False, f"n={n}, forest {oracle.forest_to_json(G)}"
-                if len(G) == 1:
-                    tree_trips[n].add(w)
-    yield "antiexcedance-helicity", ok, first
-
-    ok, first = (True, "") if oracle_max_n >= 1 else unchecked
+def _closure_mismatches(limit: int, trips):
+    """The tree closure on n letters against the trips of the one-component forests."""
     sets = perms.grass_tree_permutation_sets(limit)
-    for n, trips in tree_trips.items():
-        if sets[n] != trips:
-            ok, first = False, f"n={n}: closure {len(sets[n])} vs trips {len(trips)}"
-            break
-    yield "tree-permutation-closure", ok, first
+    for n, group in groupby(trips, itemgetter(0)):
+        tree_trips = {w for _, G, w in group if len(G) == 1}
+        mismatch = f"n={n}: closure {len(sets[n])} vs trips {len(tree_trips)}"
+        yield None if sets[n] == tree_trips else mismatch
+
+
+def run_checks(oracle_max_n: int, order: int):
+    """All cross-checks; yields each (name, ok, detail) from `_verdict` when decided."""
+    grass = GFKind.GRASS_FOREST
+    forest = genfun.series_for(grass, order)
+    top = min(12, order)  # the reference rows, Euler and the relations stop at n = 12
+    reference = map(_reference_mismatch, [top] if top >= 4 else [])
+    yield _verdict("reference-table", "the reference rows start at n = 4", reference)
+    lagrange = (
+        None if genfun.forest_gf_via_lagrange(grass, n, order) == genfun.extract_counts(forest, n)
+        else f"mismatch at n={n}"
+        for n in range(1, order + 1)
+    )
+    yield _verdict("lagrange-dual-path", "nothing to compare for order < 1", lagrange)
+    # The oracle and permutation checks run up to oracle_max_n, within the order cap.
+    oracle_max_n = min(oracle_max_n, order)
+    unchecked = "nothing to compare for --oracle-max-n < 1"
+    yield _verdict("oracle-equivalence", unchecked, _oracle_mismatches(oracle_max_n))
+    euler = (
+        None if value == 1 else f"({n},{k}) -> {value}"
+        for n in range(4, top + 1)
+        for k in range(2, n - 1)
+        for value in [genfun.euler_characteristic(grass, n, k)]
+    )
+    yield _verdict("euler-characteristic", "no 2 <= k <= n-2 for n < 4", euler)
+    for kind in GFKind:
+        reports = (genfun.verify_algebraic_relation(kind, t) for t in [top] if t >= 6)
+        relation = (None if ok else report for ok, report in reports)
+        yield _verdict(f"relation-{kind.value}", "the relations need order >= 6", relation)
+    # Both permutation checks read one lazy pass over the contracted forests' trips.
+    limit = min(oracle_max_n, 6)
+    for_helicity, for_closure = tee(
+        (n, G, perms.trip_permutation(G))
+        for n in range(1, limit + 1)
+        for F in oracle.enumerate_forests(n)
+        for G in oracle.decorate_grassmannian(F, contracted_only=True)
+    )
+    helicity = (
+        None if perms.antiexcedances(w) == oracle.helicity(G)
+        else f"n={n}, forest {oracle.forest_to_json(G)}"
+        for n, G, w in for_helicity
+    )
+    yield _verdict("antiexcedance-helicity", unchecked, helicity)
+    yield _verdict("tree-permutation-closure", unchecked, _closure_mismatches(limit, for_closure))
 
 
 def cmd_check(args) -> int:
     if args.oracle_max_n < 0:
         raise ConfigError("need --oracle-max-n >= 0")
-    status = EXIT_OK
-    skipped = 0
+    verdicts = Counter()  # None, True, False: SKIP, PASS, FAIL
     with _output(args.out) as fh:  # each verdict is written as soon as it is decided
         for name, ok, detail in run_checks(args.oracle_max_n, args.order):
+            verdicts[ok] += 1
             verdict = "SKIP" if ok is None else "PASS" if ok else "FAIL"
             fh.write(f"{verdict} {name}" + (f": {detail}" if detail else "") + "\n")
             fh.flush()
-            skipped += ok is None
-            if ok is False:
-                status = EXIT_MISMATCH
+        skipped = verdicts[None]
         passed = f"checks passed, {skipped} skipped" if skipped else "all checks passed"
-        fh.write((passed if status == EXIT_OK else "CHECK FAILED") + "\n")
-    return status
+        fh.write(("CHECK FAILED" if verdicts[False] else passed) + "\n")
+    return EXIT_MISMATCH if verdicts[False] else EXIT_OK
 
 
 def _output(path):

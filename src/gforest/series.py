@@ -251,11 +251,14 @@ class TruncSeries:
     # -- shape adjustments -------------------------------------------------
 
     def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot truncate to a higher order")
+        """The prefix through x^order, sharing this series' coefficients."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate a series of order {self.order} to {order}")
         if order == self.order:
             return self
-        return TruncSeries(self._c[: order + 1], order)
+        prefix = object.__new__(TruncSeries)  # the coefficients are polynomials already
+        prefix.order, prefix._c = order, self._c[: order + 1]
+        return prefix
 
     def shift_up(self, k: int = 1) -> "TruncSeries":
         """Multiply by x^k; the result is legitimately known to order+k."""

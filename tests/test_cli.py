@@ -528,6 +528,184 @@ def test_check_reports_injected_mom_dimension_bug(capsys, monkeypatch):
     assert "(n,k,r)=(3," in detail
 
 
+CHECK_NAMES = [
+    "reference-table",
+    "lagrange-dual-path",
+    "oracle-equivalence",
+    "euler-characteristic",
+    *(f"relation-{kind.value}" for kind in genfun.GFKind),
+    "antiexcedance-helicity",
+    "tree-permutation-closure",
+]
+
+
+def test_verdict_rule():
+    assert cli._verdict("c", "why", []) == ("c", None, "why")
+    assert cli._verdict("c", "why", [None]) == ("c", True, "")
+    assert cli._verdict("c", "why", [None, None]) == ("c", True, "")
+
+    def mismatch_then_raise():
+        yield None
+        yield "first"
+        raise AssertionError("the stream was read past its first mismatch")
+
+    assert cli._verdict("c", "why", mismatch_then_raise()) == ("c", False, "first")
+
+
+def test_verdict_fails_on_an_integrality_violation_and_on_nothing_else():
+    def raising(exc):
+        yield None
+        raise exc
+
+    violation = genfun.IntegralityViolation("[x^5 y^1 q^0] = -2 is negative")
+    assert cli._verdict("c", "why", raising(violation)) == ("c", False, str(violation))
+    with pytest.raises(ValueError, match="internal bug"):
+        cli._verdict("c", "why", raising(ValueError("internal bug")))
+
+
+def _first_contracted_forest(n):
+    return next(
+        G
+        for F in oracle.enumerate_forests(n)
+        for G in oracle.decorate_grassmannian(F, contracted_only=True)
+    )
+
+
+def _relation_fault(kind):
+    def fault(verify):
+        return lambda k, order=12: (False, "injected residual") if k is kind else verify(k, order)
+
+    return genfun, "verify_algebraic_relation", fault, "injected residual"
+
+
+# verdict: (module, attribute, the fault made from the original, the FAIL detail)
+CHECK_FAULTS = {
+    "reference-table": (
+        cli,
+        "reference_table_text",
+        lambda text: lambda: text().replace("(4,2) q^4+4q^3", "(4,2) q^4+5q^3"),
+        "first differing line: got '(4,2) q^4+4q^3+10q^2+12q+6', "
+        "want '(4,2) q^4+5q^3+10q^2+12q+6'",
+    ),
+    "lagrange-dual-path": (
+        genfun,
+        "forest_gf_via_lagrange",
+        lambda lag: lambda kind, n, order=None: (
+            {**lag(kind, n, order), (0, 0): 7} if n == 5 else lag(kind, n, order)
+        ),
+        "mismatch at n=5",
+    ),
+    "oracle-equivalence": (
+        oracle,
+        "count_by_statistics",
+        lambda count: lambda n, kind, **kw: (
+            {**count(n, kind, **kw), (9, 9): 1}
+            if (n, kind) == (3, genfun.GFKind.PLABIC_FOREST)
+            else count(n, kind, **kw)
+        ),
+        "plabic-forest first failing (n,k,r)=(3,9,9)",
+    ),
+    "euler-characteristic": (
+        genfun,
+        "euler_characteristic",
+        lambda euler: lambda kind, n, k: 2 if (n, k) == (7, 3) else euler(kind, n, k),
+        "(7,3) -> 2",
+    ),
+    **{f"relation-{kind.value}": _relation_fault(kind) for kind in genfun.GFKind},
+    "antiexcedance-helicity": (
+        cli.perms,
+        "antiexcedances",
+        lambda anti: lambda w: anti(w) + (len(w) == 3),
+        f"n=3, forest {oracle.forest_to_json(_first_contracted_forest(3))}",
+    ),
+    "tree-permutation-closure": (
+        cli.perms,
+        "grass_tree_permutation_sets",
+        lambda close: lambda max_n: {
+            n: members - {min(members)} if n == 4 else members
+            for n, members in close(max_n).items()
+        },
+        "n=4: closure 6 vs trips 7",
+    ),
+}
+
+
+def test_every_verdict_has_a_fault():
+    assert sorted(CHECK_FAULTS) == sorted(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("verdict", CHECK_NAMES)
+def test_check_fails_exactly_the_faulty_verdict_and_goes_on(capsys, monkeypatch, verdict):
+    module, attribute, fault, detail = CHECK_FAULTS[verdict]
+    monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
+    code, out, err = run(capsys, "check")
+    lines = out.splitlines()
+    assert code == EXIT_MISMATCH and err == ""
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"{'FAIL' if name == verdict else 'PASS'} {name}" for name in CHECK_NAMES
+    ]
+    assert f"FAIL {verdict}: {detail}" in lines
+    assert lines[-1] == "CHECK FAILED"
+
+
+def test_check_reports_a_missing_reference_row(monkeypatch):
+    original = cli.reference_table_text
+    monkeypatch.setattr(cli, "reference_table_text", lambda: original().rsplit("(12,", 1)[0])
+    results = {name: (ok, detail) for name, ok, detail in run_checks(0, 14)}
+    assert results["reference-table"] == (False, "row counts differ")
+
+
+def test_check_reports_an_integrality_violation_as_a_fail_line(capsys, monkeypatch):
+    original = genfun.extract_counts
+    negative = TruncSeries([0, 0, 0, 0, 0, BivarPoly({(1, 0): -2})], 5)
+
+    def corrupted(series, n):
+        return original(negative if n == 5 else series, n)
+
+    monkeypatch.setattr(genfun, "extract_counts", corrupted)
+    code, out, err = run(capsys, "check")
+    lines = out.splitlines()
+    assert code == EXIT_MISMATCH and err == ""
+    failed = {"lagrange-dual-path", "oracle-equivalence"}
+    assert lines[:-1] == [
+        f"FAIL {name}: [x^5 y^1 q^0] = -2 is negative" if name in failed else f"PASS {name}"
+        for name in CHECK_NAMES
+    ]
+    assert lines[-1] == "CHECK FAILED"
+
+
+def test_euler_exits_1_on_a_mismatch(capsys, monkeypatch):
+    module, attribute, fault, _ = CHECK_FAULTS["euler-characteristic"]
+    monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
+    assert run(capsys, "euler", "--n", "7", "--k", "3") == (EXIT_MISMATCH, "2\n", "")
+    assert run(capsys, "euler", "--n", "7", "--k", "2") == (EXIT_OK, "1\n", "")
+
+
+@pytest.mark.parametrize("kind", list(genfun.GFKind))
+def test_relations_exits_1_on_a_mismatch(capsys, monkeypatch, kind):
+    module, attribute, fault, detail = CHECK_FAULTS[f"relation-{kind.value}"]
+    monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
+    code, out, err = run(capsys, "relations", "--kind", kind.value, "--order", "8")
+    assert (code, out, err) == (EXIT_MISMATCH, detail + "\n", "")
+
+
+# sha256 over the stdout of `--order o check --oracle-max-n m` for each o, then
+# each m, in the order below: every SKIP line, which CHECK_SHA256 never sees.
+CHECK_GRID_SHA256 = "9060fb131d05f92ec51151c04ef822cfa7375d66c2c29d55207c8937621dc44c"
+
+
+def test_check_output_over_the_size_grid_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for order in (1, 2, 3, 4, 5, 6, 7, 12, 14):
+        for oracle_max_n in (0, 1, 3, 6):
+            code, out, _ = run(
+                capsys, "--order", str(order), "check", "--oracle-max-n", str(oracle_max_n)
+            )
+            assert code == EXIT_OK, (order, oracle_max_n)
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == CHECK_GRID_SHA256
+
+
 def _readme_commands():
     """The argument lists of the `gforest` lines in README's Command line block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -47,6 +47,19 @@ def test_truncation_to_min_order():
     assert (a + b).order == 1
 
 
+def test_truncate_shares_the_coefficients_of_its_series():
+    full = genfun.series_for(genfun.GFKind.GRASS_FOREST, 9)
+    for order in range(10):
+        prefix = full.truncate(order)
+        assert prefix == TruncSeries(full.coefficients()[: order + 1], order)
+        assert prefix.order == order and repr(prefix) == repr(S(full.coefficients()[: order + 1]))
+        assert all(a is b for a, b in zip(prefix.coefficients(), full.coefficients()))
+    assert full.truncate(9) is full
+    for order in (-1, 10):
+        with pytest.raises(ValueError, match=f"cannot truncate a series of order 9 to {order}"):
+            full.truncate(order)
+
+
 def test_equality_requires_matching_orders():
     with pytest.raises(ValueError):
         S([1, 2]) == S([1, 2, 3])
