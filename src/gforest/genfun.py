@@ -11,19 +11,29 @@ function C = x N(x) / D(x).  Neither C nor any series is inverted: the
 inverse u = C^<-1> solves the polynomial equation u N(u) = x D(u), and the
 forest series H is 1/(1 - x(1+y) - xyq v), where v solves
 v N(v) (1 - x(1+y) - xyq v) = x D(v), so the forest needs no tree series.
-`series.algebraic_root` solves each equation order by order (Flajolet and
-Sedgewick, *Analytic Combinatorics*, VII.6).  The paper's route, a second
-compositional inversion of x / (1 + G_tree), is Speicher's transform in
-`transforms`, which the tests compare with these builds; it takes the
-root g of g = x (1 + G_tree(g)) from the same recurrence.  An independent
-Lagrange-inversion route (`forest_gf_via_lagrange`) and the transcribed
-polynomial relations stored in data/ (`verify_algebraic_relation`) check
-the forest series with another kernel.
+y enters N and D only as u(1+y) and u^2 y, so each equation is solved in
+X = x(1+y), z = y/(1+y)^2 and w = (1+y)u (or (1+y)v): w N'(w) = X D'(w)
+with tree series X(1 + zq w), and w N'(w) (1 - X - Xzq w) = X D'(w) with
+forest series 1/(1 - X - Xzq w), where N' and D' (`_parts`) lie in
+Z[z, q][w].  `series.algebraic_root` solves each equation order by order
+(Flajolet and Sedgewick, *Analytic Combinatorics*, VII.6), and one
+expansion, [x^n y^k] = sum_j [X^n z^j] C(n-2j, k-j), maps the result back
+to y.  [X^n] has z-degree at most n/2: it is the gamma vector of [x^n]
+(Athanasiadis, "Gamma-positivity in combinatorics and geometry", Sém.
+Lothar. Combin. 77, 2018), so each series is palindromic in y by
+construction.  The paper's route, a second compositional inversion of
+x / (1 + G_tree), is Speicher's transform in `transforms`, which the tests
+compare with these builds; it takes the root g of g = x (1 + G_tree(g))
+from the same recurrence.  An independent Lagrange-inversion route
+(`forest_gf_via_lagrange`) and the transcribed polynomial relations stored
+in data/ (`verify_algebraic_relation`) check the forest series in y with
+another kernel, and so check the expansion too.
 
 Every coefficient is an integer throughout: each equation's linear
-coefficient is 1, the reciprocal of 1 - x(1+y) - xyq v inverts an x^0
-coefficient of 1, the Lagrange route's division by n + 1 is checked exact,
-and the relation loader refuses a transcribed term that is not an integer.
+coefficient is 1, the reciprocal of 1 - X - Xzq w inverts an X^0
+coefficient of 1, the expansion multiplies by binomial coefficients, the
+Lagrange route's division by n + 1 is checked exact, and the relation
+loader refuses a transcribed term that is not an integer.
 
 Truncated coefficients never change as a series grows, so both caches
 here only grow: `series_for` keeps the longest series of each kind, and
@@ -48,8 +58,8 @@ DEFAULT_ORDER = 14
 
 
 class IntegralityViolation(ArithmeticError):
-    """A coefficient is not a count: negative, of too high a y-degree, or
-    not divisible where the Lagrange route divides."""
+    """A coefficient is not a count: negative, of too high a y- or z-degree,
+    or not divisible where the Lagrange route divides."""
 
 
 class GFKind(Enum):
@@ -75,65 +85,79 @@ class GFKind(Enum):
         return GFKind.PLABIC_TREE if self.is_plabic else GFKind.GRASS_TREE
 
 
-def _times_linear(factors):
-    """The coefficient list in x of the product of (1 + a x) over the factors a."""
-    out = [ONE]
-    for a in factors:
-        out = [c + a * d for c, d in zip([*out, ZERO], [ZERO, *out])]
-    return out
-
-
 def _parts(kind: GFKind):
-    """N, D and D_minus, as coefficient lists in x, for C = x N(x) / D(x);
-    D_minus is the product of D's factors (1 + a x) whose a has a minus sign.
+    """N' and D', as coefficient lists in w with z in the place of y, for
+    C = x N(x) / D(x) in the gamma basis: w N'(w) / D'(w) = (1+y) C(u) for
+    w = (1+y)u, and z = y/(1+y)^2.
 
-    plabic:        N = 1 - q^2 x^2 y,  D = (1+xq)(1+xyq),  D_minus = 1
-    Grassmannian:  N = 1 - x(1+y)q^2 - x^2 y q^2 (1+q-q^2) - x^4 y^2 q^5 (1+q),
-                   D = (1+xq)(1+xyq) D_minus,  D_minus = (1-xq^2)(1-xyq^2)
+    plabic:        N' = 1 - q^2 z w^2,  D' = 1 + q w + q^2 z w^2
+    Grassmannian:  N' = 1 - q^2 w - q^2 (1+q-q^2) z w^2 - q^5 (1+q) z^2 w^4,
+                   D' = (1 + q w + q^2 z w^2)(1 - q^2 w + q^4 z w^2)
     """
-    yq = Y * Q
-    q2 = Q * Q
+    z, q2 = Y, Q * Q
     if kind.is_plabic:
-        N = [ONE, ZERO, -(q2 * Y)]
-        minus = ()
-    else:
-        N = [ONE, -((1 + Y) * q2), -(Y * q2 * (1 + Q - q2)), ZERO, -(Y * Y * Q**5 * (1 + Q))]
-        minus = (-q2, -(Y * q2))
-    return N, _times_linear((Q, yq, *minus)), _times_linear(minus)
+        return [ONE, ZERO, -(q2 * z)], [ONE, Q, q2 * z]
+    N = [ONE, -q2, -(z * q2 * (1 + Q - q2)), ZERO, -(z * z * Q**5 * (1 + Q))]
+    D = [ONE, Q - q2, z * (q2 + Q**4) - Q**3, z * (Q**5 - Q**4), z * z * Q**6]
+    return N, D
+
+
+def _expand(series: TruncSeries, s: int) -> TruncSeries:
+    """The series in x and y of a series in X = x(1+y) and z = y/(1+y)^2,
+    times (1+y)^s: [x^n] is sum_j [X^n z^j] y^j (1+y)^(n+s-2j), so
+    [x^n y^k] = sum_j [X^n z^j] C(n+s-2j, k-j).  A z-degree above (n+s)/2
+    would need a negative power of 1+y, an infinite series in y, and raises
+    `IntegralityViolation`."""
+    powers = [ONE]  # (1+y)^m at [m]
+    out = []
+    for n, c in enumerate(series.coefficients()):
+        if 2 * c.y_degree() > n + s:
+            raise IntegralityViolation(
+                f"[X^{n}] has z-degree {c.y_degree()}, above ({n}{s:+})/2"
+            )
+        while len(powers) <= n + s:
+            powers.append(powers[-1] * (1 + Y))
+        slices = {}  # j -> the terms of [X^n z^j], at y^j
+        for (j, r), v in c.term_map().items():
+            slices.setdefault(j, {})[j, r] = v
+        out.append(dot((BivarPoly(t), powers[n + s - 2 * j]) for j, t in slices.items()))
+    return TruncSeries(out, series.order)
 
 
 @lru_cache(maxsize=None)
 def build_C(kind: GFKind, order: int) -> TruncSeries:
     """The rational function x N(x) / D(x) whose compositional inverse
-    drives the tree series (`_parts` gives N and D)."""
+    drives the tree series, expanded from X N'(X) / D'(X) (`_parts`)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    N, D, _ = _parts(kind)
-    return TruncSeries([ZERO, *N], order) / TruncSeries(D, order)
+    N, D = _parts(kind)
+    return _expand(TruncSeries([ZERO, *N], order) / TruncSeries(D, order), -1)
 
 
 def _equation(kind: GFKind):
-    """(c0, c1) of the kind's equation sum_j (c0[j] + x c1[j]) v^j = 0.
+    """(c0, c1) of the kind's equation sum_j (c0[j] + X c1[j]) w^j = 0, with
+    z in the place of y.
 
-    Tree: u = C^<-1> solves u N(u) = x D(u), and the tree series is
-    x(1 + y + yq u).  Forest: with H the forest series, v = u(xH) solves
-    v N(v) (1 - x(1+y) - xyq v) = x D(v), and H = 1/(1 - x(1+y) - xyq v)."""
-    N, D, _ = _parts(kind)
-    c0 = [ZERO, *N]  # v N(v)
+    Tree: w = (1+y) C^<-1> solves w N'(w) = X D'(w), and the tree series is
+    X(1 + zq w).  Forest: with H the forest series, w = (1+y) C^<-1>(xH)
+    solves w N'(w) (1 - X - Xzq w) = X D'(w), and H = 1/(1 - X - Xzq w)."""
+    N, D = _parts(kind)
+    c0 = [ZERO, *N]  # w N'(w)
     c1 = [-d for d in D]
     if kind.is_forest:
         c1 += [ZERO] * (len(c0) + 1 - len(D))
         for j, c in enumerate(c0):
-            c1[j] -= (1 + Y) * c
+            c1[j] -= c
             c1[j + 1] -= Y * Q * c
     return c0, c1
 
 
-def _root(kind: GFKind, order: int) -> TruncSeries:
-    """The root of the kind's `_equation` to the given order.  Divided by
-    D_minus(v), the equation's coefficients cancel far less in sign, so its
-    majorant sizes the slots close to the coefficients' norms."""
-    return algebraic_root(*_equation(kind), order, _parts(kind)[2])
+def _gamma(kind: GFKind, order: int) -> TruncSeries:
+    """The kind's series to the given order in X, with z in the place of y:
+    X(1 + zq w) for a tree and 1/(1 - X(1 + zq w)) for a forest, where w is
+    the root of the kind's `_equation`."""
+    t = (Y * Q * algebraic_root(*_equation(kind), order - 1) + 1).shift_up(1)
+    return t if kind.is_tree else TruncSeries.one(order) / (1 - t)
 
 
 # The builders keep their own caches only so that a direct caller does not
@@ -143,20 +167,18 @@ def build_tree_gf(kind: GFKind, order: int) -> TruncSeries:
     """Tree generating function x(1 + y + yq C^<-1>) to the given order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    u = _root(kind.tree_kind, order - 1)
-    return (Y * Q * u + (1 + Y)).shift_up(1)
+    return _expand(_gamma(kind.tree_kind, order), 0)
 
 
 @lru_cache(maxsize=2)
 def build_forest_gf(kind: GFKind, order: int) -> TruncSeries:
     """Forest generating function 1/(1 - x(1+y) - xyq v), where v solves the
-    forest equation of `_equation`."""
+    forest equation in y of which `_equation` is the gamma form."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if kind.is_tree:
         raise ValueError("build_forest_gf builds the forest kinds")
-    v = _root(kind, order - 1)
-    return TruncSeries.one(order) / (1 - (Y * Q * v + (1 + Y)).shift_up(1))
+    return _expand(_gamma(kind, order), 0)
 
 
 _longest: dict = {}  # GFKind -> the longest series of that kind built so far

@@ -21,8 +21,8 @@ compositionally or the linear coefficient of an algebraic equation (else
 `NotInvertible`).  The check comes before any coefficient is computed, so
 whether an operation succeeds never depends on the values of the other
 coefficients, and every result has integer coefficients.  The reciprocals
-the generating functions need, of the denominator of C and of
-1 - x(1+y) - xyq v, have x^0 coefficient 1.
+the generating functions need, of D' and of 1 - X - Xzq w in
+`genfun`'s gamma basis, have x^0 coefficient 1.
 
 `algebraic_root` gives the root v = O(x) of a polynomial equation
 sum_j (c0[j] + x c1[j]) v^j = 0 order by order: each new coefficient is a
@@ -36,9 +36,7 @@ recurrence on Kronecker-packed ints: each input coefficient is packed once
 as balanced base-2^b digits.  The slot width b comes from the same
 recurrence run on the inputs' l1 norms with every sign positive, a Cauchy
 majorant of each output coefficient, and the q-stride from the same
-recurrence run in (max, +) on q-degrees.  The algebraic root may take its
-majorant from the equation divided (on `ring.dot`) by a polynomial in v,
-with the same root and far less cancellation of signs.  `power_coefficient`,
+recurrence run in (max, +) on q-degrees.  `power_coefficient`,
 and so `lagrange_coefficient`, stays on `ring.dot`, one call per coefficient,
 so that the Lagrange route checks the packed builds with another kernel.
 """
@@ -80,8 +78,7 @@ def _unit(c: BivarPoly, error, where: str) -> int:
 # ints (`_INTS`), on l1 norms (`_MAJORANT`, which bounds each output's norm
 # and so each of its coefficients) and on q-degrees (`_DEGREES`).  The unit a
 # recurrence divides by is the coefficient itself, 1 or -1: its norm 1 and
-# its q-degree 0 are the identities of the other two runs.  `_POLYS` runs a
-# recurrence on the polynomials themselves, one `ring.dot` per sum.
+# its q-degree 0 are the identities of the other two runs.
 
 
 class _Ops(NamedTuple):
@@ -105,7 +102,6 @@ def _degree_dot(xs, ys):
 _INTS = _Ops(_int_dot, mul, add, neg)
 _MAJORANT = _Ops(_int_dot, mul, add, pos)
 _DEGREES = _Ops(_degree_dot, add, max, pos)
-_POLYS = _Ops(lambda xs, ys: dot(zip(xs, ys)), mul, add, neg)
 
 
 def _product(ops, a, b):
@@ -150,20 +146,18 @@ def _norms(cs):
     return [c.norm() for c in cs]
 
 
-def _packed(recurrence, *inputs, bounds=None):
+def _packed(recurrence, *inputs):
     """The output coefficients of `recurrence` on the input coefficient
     sequences, computed on ints: each input coefficient is packed once and
     each output coefficient unpacked once.
 
-    The inputs' norms and `bounds` on the outputs' norms, by default the
-    majorant run, size the slots; the (max, +) run and the inputs' q-degrees
-    size the stride.  Packing is a ring homomorphism, so nothing else has to
+    The inputs' norms and the majorant run, which bounds the outputs' norms,
+    size the slots; the (max, +) run and the inputs' q-degrees size the
+    stride.  Packing is a ring homomorphism, so nothing else has to
     fit: the intermediate ints are never unpacked."""
     norms = [_norms(cs) for cs in inputs]
     degrees = [[c.q_degree() if c else _NO_TERMS for c in cs] for cs in inputs]
-    if bounds is None:
-        bounds = recurrence(_MAJORANT, *norms)
-    width = slot_width(max(chain(bounds, *norms)))
+    width = slot_width(max(chain(recurrence(_MAJORANT, *norms), *norms)))
     stride = 1 + max(chain([0], recurrence(_DEGREES, *degrees), *degrees))
     packed = [[pack(c, width, stride) for c in cs] for cs in inputs]
     return [unpack(v, width, stride) for v in recurrence(_INTS, *packed)]
@@ -348,37 +342,20 @@ class TruncSeries:
         return self.map_coefficients(lambda c: c.eval_y(v))
 
 
-def algebraic_root(c0, c1, order: int, divisor=(1,)) -> TruncSeries:
+def algebraic_root(c0, c1, order: int) -> TruncSeries:
     """The root v = O(x) of sum_j (c0[j] + x c1[j]) v^j = 0 to the given
     order, for coefficient lists c0 and c1 (polynomials in y and q).
 
     Needs c0[0] = 0 and 1 or -1 as c0[1], the linear coefficient (else
     `NotInvertible`); `_algebraic` gives the recurrence, one `dot` per power
-    of v and order.
-
-    The root also solves the equation divided by `divisor`(v), a polynomial
-    in v with constant term 1, whose coefficients are then series in v.  The
-    majorant run on that equation sizes the slots: a divisor made of the
-    factors whose signs cancel against the rest tightens it."""
+    of v and order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     c0, c1 = [as_poly(c) for c in c0], [as_poly(c) for c in c1]
     if len(c0) < 2 or c0[0] or not c1:
         raise NotInvertible("the equation needs c0[0] = 0, a linear term and a c1")
     _unit(c0[1], NotInvertible, "v^1")
-    e = [as_poly(c) for c in divisor]
-    if not (e and e[0].is_one()):
-        raise ValueError("the divisor needs the constant term 1")
-
-    def run(ops, a, b):
-        return _algebraic(ops, a, b, order)
-
-    bounds = None  # the majorant run of the equation itself
-    if any(e[1:]):
-        # c0 / e and c1 / e to v^(order+1), by b_j = a_j - sum_{k>=1} e_k b_(j-k)
-        quotients = [_quotient(_POLYS, TruncSeries(cs, order + 1)._c, e) for cs in (c0, c1)]
-        bounds = run(_MAJORANT, *map(_norms, quotients))
-    return TruncSeries(_packed(run, c0, c1, bounds=bounds), order)
+    return TruncSeries(_packed(lambda ops, a, b: _algebraic(ops, a, b, order), c0, c1), order)
 
 
 def power_coefficient(f: TruncSeries, e: int, m: int) -> BivarPoly:

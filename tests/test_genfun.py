@@ -27,8 +27,8 @@ from gforest.genfun import (
     verify_algebraic_relation,
 )
 from gforest.oracle import count_by_statistics
-from gforest.ring import ONE, BivarPoly, Q, Y
-from gforest.series import TruncSeries
+from gforest.ring import ONE, ZERO, BivarPoly, Q, Y
+from gforest.series import TruncSeries, algebraic_root
 from gforest.transforms import speicher_transform, tree_transform, vertex_weight_series
 
 EXTENDED = os.environ.get("GFOREST_EXTENDED") == "1"
@@ -106,6 +106,126 @@ def test_equation_builds_match_the_reversion_routes(kind):
     for n in range(1, top + 1):
         assert build_tree_gf(kind, n) == tree.truncate(n), n
         assert build_forest_gf(forest_kind, n) == forest.truncate(n), n
+
+
+# -- the gamma basis against the y-basis equations --------------------------------
+
+
+def _times_linear(factors):
+    """The coefficient list in x of the product of (1 + a x) over the factors a."""
+    out = [ONE]
+    for a in factors:
+        out = [c + a * d for c, d in zip([*out, ZERO], [ZERO, *out])]
+    return out
+
+
+def _y_parts(kind):
+    """N and D, as coefficient lists in x, for C = x N(x) / D(x).
+
+    plabic:        N = 1 - q^2 x^2 y,  D = (1+xq)(1+xyq)
+    Grassmannian:  N = 1 - x(1+y)q^2 - x^2 y q^2 (1+q-q^2) - x^4 y^2 q^5 (1+q),
+                   D = (1+xq)(1+xyq)(1-xq^2)(1-xyq^2)
+    """
+    q2 = Q * Q
+    if kind.is_plabic:
+        return [ONE, ZERO, -(q2 * Y)], _times_linear((Q, Y * Q))
+    N = [ONE, -((1 + Y) * q2), -(Y * q2 * (1 + Q - q2)), ZERO, -(Y * Y * Q**5 * (1 + Q))]
+    return N, _times_linear((Q, Y * Q, -q2, -(Y * q2)))
+
+
+def _y_equation(kind):
+    """(c0, c1) of sum_j (c0[j] + x c1[j]) v^j = 0 in y: u N(u) = x D(u) for a
+    tree, v N(v) (1 - x(1+y) - xyq v) = x D(v) for a forest."""
+    N, D = _y_parts(kind)
+    c0 = [ZERO, *N]
+    c1 = [-d for d in D]
+    if kind.is_forest:
+        c1 += [ZERO] * (len(c0) + 1 - len(D))
+        for j, c in enumerate(c0):
+            c1[j] -= (1 + Y) * c
+            c1[j + 1] -= Y * Q * c
+    return c0, c1
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_expanded_builds_match_the_y_basis_equations(kind):
+    top = 26 if EXTENDED else 20
+    t = (Y * Q * algebraic_root(*_y_equation(kind), top - 1) + (1 + Y)).shift_up(1)
+    if kind.is_tree:
+        assert build_tree_gf(kind, top) == t
+    else:
+        assert build_forest_gf(kind, top) == TruncSeries.one(top) / (1 - t)
+
+
+def _at_z(p, e):
+    """p(z = y/(1+y)^2) (1+y)^e, for e at least twice p's z-degree (its y-degree)."""
+    terms = p.term_map().items()
+    return sum((BivarPoly({(j, r): c}) * (1 + Y) ** (e - 2 * j) for (j, r), c in terms), ZERO)
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_gamma_equation_is_the_y_equation_after_substitution(kind):
+    # With z = y/(1+y)^2, w = (1+y)v and X = x(1+y), the term of w^j X^t
+    # takes a factor (1+y)^(j+t), and the gamma equation becomes (1+y) times
+    # the y equation.  Every z-degree is at most 2, so (1+y)^4 clears z.
+    for t, (gamma, y) in enumerate(zip(genfun._equation(kind), _y_equation(kind))):
+        assert len(gamma) == len(y)
+        for j, (g, c) in enumerate(zip(gamma, y)):
+            assert _at_z(g, 4 + j + t) == (1 + Y) ** 5 * c, (t, j)
+
+
+def test_expansion_refuses_a_z_degree_above_half_the_order():
+    # [x^n] takes (1+y)^(n+s-2j) for z^j at X^n, which is no polynomial for
+    # 2j > n + s
+    assert genfun._expand(TruncSeries([ONE, ONE, Y]), 0) == TruncSeries([ONE, 1 + Y, Y])
+    assert genfun._expand(TruncSeries([ZERO, ONE, ONE, Y]), -1) == TruncSeries(
+        [ZERO, ONE, 1 + Y, Y]
+    )
+    for coeffs, s in (([ONE, ZERO, ZERO, Y * Y], 0), ([ZERO, ZERO, Y], -1), ([ONE], -1)):
+        with pytest.raises(IntegralityViolation, match="z-degree"):
+            genfun._expand(TruncSeries(coeffs), s)
+
+
+@pytest.mark.parametrize("kind", [GFKind.PLABIC_TREE, GFKind.PLABIC_FOREST])
+def test_plabic_series_are_gamma_nonnegative(kind):
+    """Every [X^n z^j q^r] of a plabic series is nonnegative, here through
+    order 24, and for every n by this argument.  The tree root solves
+    w = X f(w), and the forest root w = X f(w) / (1 - X - Xzq w), where
+    f = (1 + qw + q^2 z w^2) / (1 - q^2 z w^2) has nonnegative coefficients.
+    Each [X^m] w is then a sum of products of nonnegative coefficients and
+    of [X^i] w for i < m, so w, X(1 + zq w) and 1/(1 - X - Xzq w) have
+    nonnegative coefficients too."""
+    gamma = genfun._gamma(kind, 24)
+    assert min(c.min_coefficient() for c in gamma.coefficients()) >= 0
+
+
+@pytest.mark.parametrize("kind", [GFKind.GRASS_TREE, GFKind.GRASS_FOREST])
+def test_grassmannian_series_are_gamma_nonnegative_at_q_one(kind):
+    # An observation through n = 20, not a claim of the paper.  In q the
+    # gamma coefficients are not all nonnegative: the first negative term is
+    # -z^3 q^8, at [X^6].
+    gamma = genfun._gamma(kind, 20)
+    assert min(c.eval_q(1).min_coefficient() for c in gamma.coefficients()) >= 0
+    negative = ({t: c for t, c in p.term_map().items() if c < 0} for p in gamma.coefficients())
+    assert next((n, terms) for n, terms in enumerate(negative) if terms) == (6, {(3, 8): -1})
+
+
+def test_grass_forest_root_at_q_minus_one_is_X():
+    """At q = -1 the root of the grass-forest equation is w = X, here
+    through order 40.
+
+    q := -1 is a ring map from Z[z, q] to Z[z].  It keeps the linear
+    coefficient 1, and each coefficient of the root is a polynomial in the
+    equation's coefficients, so the root of the equation at q = -1 is the
+    root at q = -1.  There N' = 1 - w + z w^2 and D' = N'^2, so the
+    equation is N'(w) (w - X) = 0, whose only root O(X) is X.  The forest
+    series at q = -1 is then 1/(1 - X + zX^2) = 1/((1-x)(1-xy)), and
+    [x^n y^k] = 1 for every 0 <= k <= n."""
+    c0, c1 = ([c.eval_q(-1) for c in cs] for cs in genfun._equation(GFKind.GRASS_FOREST))
+    assert algebraic_root(c0, c1, 40) == TruncSeries.x(40)
+    X = TruncSeries.x(40)
+    forest = genfun._expand(TruncSeries.one(40) / (1 - X + Y * X * X), 0)
+    assert forest == TruncSeries([BivarPoly({(k, 0): 1 for k in range(n + 1)}) for n in range(41)])
 
 
 def test_forest_builder_refuses_tree_kinds():

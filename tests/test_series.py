@@ -1,5 +1,6 @@
 import math
 import random
+from operator import add, mul, neg
 
 import pytest
 from hypothesis import example, given, settings
@@ -396,28 +397,6 @@ def test_algebraic_root_preconditions():
         algebraic_root([0, 1], [-1], -1)
 
 
-def test_algebraic_root_divisor_needs_the_constant_term_one():
-    for e in ([2, 1], [-1, 1], [Y, 1], [0, 1]):
-        with pytest.raises(ValueError):
-            algebraic_root([0, 1], [-1, -2, -1], 4, e)
-
-
-@given(
-    UNITS.flatmap(lambda u: wide_series(min_order=1, head=[0, u])),
-    wide_series(head=[1]).map(TruncSeries.coefficients),
-)
-@example(S([0, -1]), [1])  # order 1, u = -1
-@example(S([0, 1, BIG, 0, 0, 0]), [1])  # far below its majorant
-@example(S([0, 1, BIG, 0, 0, 0]), [1, -BIG])  # the divisor takes the x^2 term out
-@settings(max_examples=30, deadline=None)
-def test_algebraic_root_of_f_minus_x_is_the_reversion(f, divisor):
-    # `reversion` is `algebraic_root`'s plain path on f(v) - x = 0, so this
-    # compares the divisor path with the plain path: the equation divided by
-    # a divisor with constant term 1 has the same root, and only its
-    # majorant run, which sizes the slots, differs.
-    assert algebraic_root(f.coefficients(), [-1], f.order, divisor) == f.reversion()
-
-
 # Shapes of equation the four genfun equations never give, each with
 # coefficients above 2^70 of either sign: f(v) - x = 0 of a reversion, whose
 # c0 has the degree of the order, and v = x F(v) of Speicher's transform,
@@ -436,35 +415,22 @@ def test_algebraic_recurrence_on_polys_equals_the_packed_run(kind):
     else:
         c0, c1 = genfun._equation(kind)
         n = 16
-    v = series._algebraic(series._POLYS, c0, c1, n)  # on the dict kernel
+    polys = series._Ops(lambda xs, ys: dot(zip(xs, ys)), mul, add, neg)
+    v = series._algebraic(polys, c0, c1, n)  # on the dict kernel
     assert list(algebraic_root(c0, c1, n).coefficients()) == v
     norms = series._algebraic(series._MAJORANT, series._norms(c0), series._norms(c1), n)
     assert all(c.norm() <= bound for c, bound in zip(v, norms))
 
 
-@given(wide_series(), wide_series(head=[1]).map(TruncSeries.coefficients))
-@example(S([HIGH, -BIG, Y, 0, Q]), [1, -(Q * Q) - Y * Q * Q, Y * Q**4])  # D_minus's shape
-@settings(max_examples=30, deadline=None)
-def test_divisor_recurrence_is_the_packed_quotient(a, divisor):
-    # `algebraic_root` sizes its slots from c0 / divisor and c1 / divisor,
-    # computed on `ring.dot` by the divisor's own recurrence over its
-    # coefficients, unpadded: the same polynomials as the packed quotient.
-    got = series._quotient(series._POLYS, a.coefficients(), [as_poly(c) for c in divisor])
-    assert got == list((a / TruncSeries(divisor, a.order)).coefficients())
-
-
 @pytest.mark.parametrize("kind", list(genfun.GFKind))
-def test_dividing_by_D_minus_tightens_the_majorant(kind):
-    # The equation divided by D_minus(v) has the same root; its majorant
-    # still bounds every coefficient's norm, and by far less for the
-    # Grassmannian kinds, where D_minus is not 1.
+def test_majorant_of_each_gamma_equation_bounds_the_root(kind):
+    # The majorant run of the equation itself sizes the root's slots.  It
+    # bounds every coefficient's norm, within 2 bits for the plabic kinds,
+    # whose roots have no negative term, and within 13 bits for the
+    # Grassmannian kinds.
     c0, c1 = genfun._equation(kind)
-    e = TruncSeries(genfun._parts(kind)[2], 17)
-    quotients = [(TruncSeries(cs, 17) / e).coefficients() for cs in (c0, c1)]
     v = algebraic_root(c0, c1, 16).coefficients()
-    plain = series._algebraic(series._MAJORANT, *map(series._norms, (c0, c1)), 16)
-    divided = series._algebraic(series._MAJORANT, *map(series._norms, quotients), 16)
-    assert all(c.norm() <= bound for c, bound in zip(v, divided))
-    assert max(divided).bit_length() <= max(c.norm() for c in v).bit_length() + 1
-    if not kind.is_plabic:
-        assert max(plain).bit_length() > max(divided).bit_length() + 12
+    bounds = series._algebraic(series._MAJORANT, series._norms(c0), series._norms(c1), 16)
+    assert all(c.norm() <= bound for c, bound in zip(v, bounds))
+    slack = max(bounds).bit_length() - max(c.norm() for c in v).bit_length()
+    assert slack <= (2 if kind.is_plabic else 13)
