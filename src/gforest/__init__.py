@@ -13,7 +13,6 @@ from .series import (
     NonzeroConstantTerm,
     NotInvertible,
     TruncSeries,
-    lagrange_coefficient,
     power_coefficient,
 )
 from .transforms import (

@@ -38,9 +38,12 @@ loader refuses a transcribed term that is not an integer.
 Truncated coefficients never change as a series grows, so both caches
 here only grow: `series_for` keeps the longest series of each kind, and
 the relation check keeps, per kind, the residual coefficients and the
-powers of the series it has computed, extending them in order of x as
-longer checks are asked for (the online power series of McIlroy,
-"Power series, power serious", JFP 1999).
+rows it has computed, extending them in order of x as longer checks are
+asked for (the online power series of McIlroy, "Power series, power
+serious", JFP 1999).  A relation of degree d in S is evaluated with baby
+steps S^2 .. S^b, b = ceil(d/2), and one giant step by S^b (Paterson and
+Stockmeyer, SIAM J. Comput. 2, 1973), so each coefficient of a check
+costs b + 1 `dot`s: three rows and the residual for grass-forest.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import threading
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 
 from .ring import ONE, ZERO, BivarPoly, Q, Y, dot
 from .series import TruncSeries, algebraic_root, power_coefficient
@@ -295,10 +299,17 @@ def relation_table(kind: GFKind) -> dict:
 class _RelationState:
     """One kind's relation residual, extended in order of x.
 
-    [x^m] of the residual needs only the series' coefficients up to m.
-    S^1 is the series itself and S^d is needed only by the residual, so
-    only S^2 .. S^(d-1) are stored; [x^k] S^d is one `dot` against
-    S^(d-1) each time it is used, which keeps the store smaller.
+    With C_j the coefficient of S^j in the relation of degree d and
+    b = ceil(d/2), the residual is A_0 + S^b A_1, where A_0 is the sum of
+    C_j S^j over j < b and A_1 that of C_j S^(j-b) over j >= b: baby steps
+    S^2 .. S^b and one giant step by S^b (Paterson and Stockmeyer, "On the
+    number of nonscalar multiplications necessary to evaluate polynomials",
+    SIAM J. Comput. 2, 1973).  Both sums need only S^0 .. S^b, since
+    d - b <= b, so the store keeps the rows of S^2 .. S^b and of A_1, and
+    [x^m] of each is one `dot`: an even power squares a stored row, an odd
+    one is S times the power below it, and [x^m] of the residual runs over
+    the terms of A_0 and the pairs ([x^k] S^b, [x^(m-k)] A_1).  [x^m] of
+    every row needs only the series' coefficients up to m.
     """
 
     def __init__(self, kind: GFKind):
@@ -310,33 +321,46 @@ class _RelationState:
                 raise ValueError(f"{kind.value} relation term {term} is not an integer")
             terms = grouped.setdefault((j, dx), {})
             terms[dy, dq] = terms.get((dy, dq), 0) + num
-        self.coeffs = [(j, dx, BivarPoly(terms)) for (j, dx), terms in grouped.items()]
-        self.degree = table["degree"]
-        self.powers = [[] for _ in range(self.degree - 2)]  # [x^m] S^j at [j - 2][m]
+        b = self.split = (table["degree"] + 1) // 2
+        self.low = [(j, dx, BivarPoly(t)) for (j, dx), t in grouped.items() if j < b]
+        self.high = [(j - b, dx, BivarPoly(t)) for (j, dx), t in grouped.items() if j >= b]
+        self.powers = [[] for _ in range(b - 1)]  # [x^m] S^j at [j - 2][m]
+        self.top = []  # [x^m] A_1
         self.residual = []
 
     def extend(self, s) -> None:
         """Compute the residual through x^(len(s) - 1) from S's coefficients s."""
-        d = self.degree
-        for row in self.powers:  # an extension that raised may have left a partial step
+        b = self.split
+        for row in (*self.powers, self.top):  # a raised extension may have left a partial step
             del row[len(self.residual) :]
-        rows = [None, s, *self.powers]  # rows[j][k] = [x^k] S^j for 1 <= j < d
+        rows = [None, s, *self.powers]  # rows[j][k] = [x^k] S^j for 1 <= j <= b
 
-        def power(j, k):  # [x^k] S^j; only the terms with j = 0 ask for k = 0
-            if j < d:
-                return rows[j][k] if j else ONE
-            return dot(zip(s[: k + 1], rows[j - 1][k::-1]))
+        def terms(coeffs, m):  # (c_(j,dx), [x^(m-dx)] S^j); S^0 is 1
+            return (
+                (c, rows[j][m - dx] if j else ONE)
+                for j, dx, c in coeffs
+                if dx <= m and (j or dx == m)
+            )
 
         for m in range(len(self.residual), len(s)):
-            for j in range(2, d):
-                rows[j].append(dot(zip(s[: m + 1], rows[j - 1][m::-1])))
+            for j in range(2, b + 1):
+                if j % 2:
+                    rows[j].append(dot(zip(s[: m + 1], rows[j - 1][m::-1])))
+                else:
+                    rows[j].append(dot(_square_pairs(rows[j // 2], m)))
+            self.top.append(dot(terms(self.high, m)))
             self.residual.append(
-                dot(
-                    (c, power(j, m - dx))
-                    for j, dx, c in self.coeffs
-                    if dx <= m and (j or dx == m)
-                )
+                dot(chain(terms(self.low, m), zip(rows[b][: m + 1], self.top[::-1])))
             )
+
+
+def _square_pairs(row, m):
+    """The pairs whose `dot` is [x^m] T^2, for row = [x^0] T .. [x^m] T:
+    (2 T_k, T_(m-k)) for k < m/2, and (T_(m/2), T_(m/2)) when m is even."""
+    h = (m + 1) // 2
+    middle = row[h : m + 1 - h]
+    doubled = ((t.scale(2), u) for t, u in zip(row[:h], row[m : m - h : -1]))
+    return chain(doubled, zip(middle, middle))
 
 
 _residuals: dict = {}  # GFKind -> the _RelationState of the kind's longest check
@@ -346,9 +370,8 @@ _residuals_lock = threading.Lock()
 def relation_residual(kind: GFKind, series: TruncSeries) -> TruncSeries:
     """Substitute a series into the kind's transcribed polynomial relation.
 
-    With the terms grouped by power j and x-shift dx, [x^m] of the residual
-    is one `dot` over (coefficient, [x^(m-dx)] series^j).  The residual is
-    extended from x^0 over a fresh state, as the check extends its own."""
+    The residual is A_0 + S^b A_1 of `_RelationState`, extended from x^0
+    over a fresh state, as the check extends its own."""
     state = _RelationState(kind)
     state.extend(series.coefficients())
     return TruncSeries(state.residual, series.order)
@@ -358,8 +381,10 @@ def verify_algebraic_relation(kind: GFKind, order: int = 12):
     """Check the computed series against its transcribed algebraic relation.
 
     Each kind keeps the residual of its longest check so far, with the
-    powers of the series it needs, and a check computes only the residual
-    coefficients above that order; a check within it computes nothing.
+    rows of S^2 .. S^b and A_1 it needs (`_RelationState`), and a check
+    computes only the residual coefficients above that order; a check
+    within it computes nothing.  An interrupted extension leaves its partial
+    step behind, and the next one trims every row back to the residual.
     Truncated coefficients never change as the series grows, so this is
     exact.  Returns (ok, report); the report names the first nonzero
     residual coefficient if verification fails.

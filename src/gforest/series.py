@@ -6,12 +6,10 @@ smaller order; comparing series of different orders is an error.
 
 The compositional inverse g of f is the root v = O(x) of f(v) - x = 0,
 so `reversion` is a case of `algebraic_root` below.  Composition
-(`compose`, Horner's rule over series products) and Lagrange inversion
-(`lagrange_coefficient`, which never builds the inverse) use other
-recurrences, so either can cross-validate it; the Lagrange route also uses
-another kernel.  `power_coefficient`, the shared helper behind the Lagrange
-route, gives [x^m] f^e by Miller's recurrence without building any power
-of f.
+(`compose`, Horner's rule over series products) uses another recurrence,
+so it can cross-validate it.  `power_coefficient`, the helper behind the
+Lagrange route, gives [x^m] f^e by Miller's recurrence without building any
+power of f, on another kernel.
 
 Coefficients are `BivarPoly`s over the integers, and each operation
 inverts one coefficient, which must be 1 or -1, its own inverse: the x^0
@@ -36,9 +34,9 @@ recurrence on Kronecker-packed ints: each input coefficient is packed once
 as balanced base-2^b digits.  The slot width b comes from the same
 recurrence run on the inputs' l1 norms with every sign positive, a Cauchy
 majorant of each output coefficient, and the q-stride from the same
-recurrence run in (max, +) on q-degrees.  `power_coefficient`,
-and so `lagrange_coefficient`, stays on `ring.dot`, one call per coefficient,
-so that the Lagrange route checks the packed builds with another kernel.
+recurrence run in (max, +) on q-degrees.  `power_coefficient` stays on
+`ring.dot`, one call per coefficient, so that the Lagrange route checks the
+packed builds with another kernel.
 """
 
 from __future__ import annotations
@@ -376,21 +374,3 @@ def power_coefficient(f: TruncSeries, e: int, m: int) -> BivarPoly:
         s = dot((a[k].scale((e + 1) * k - j), p[j - k]) for k in range(1, j + 1))
         p.append(s.divide_scalar(j * a0))
     return p[m]
-
-
-def lagrange_coefficient(c_series: TruncSeries, n: int, k: int) -> BivarPoly:
-    """[x^n] of the k-th power of the compositional inverse of c_series.
-
-    Computed as (k/n) [x^(n-k)] (x / c_series)^n by `power_coefficient`,
-    never constructing the inverse itself.  Like `reversion`, needs a zero
-    constant term and 1 or -1 as the x^1 coefficient.
-    """
-    if not (n >= k >= 1):
-        raise ValueError("need n >= k >= 1")
-    if c_series.order < n - k + 1:
-        raise ValueError("series order too small for the requested coefficient")
-    if c_series._c[0]:
-        raise NotInvertible("series with nonzero constant term has no inverse")
-    _unit(c_series._c[1], NotInvertible, "x^1")
-    base = c_series.shift_down(1).truncate(n - k)
-    return power_coefficient(base, -n, n - k).scale(k).divide_scalar(n)

@@ -629,26 +629,65 @@ def test_residual_store_extends_without_recomputing(kind, builds, monkeypatch):
         assert verify_algebraic_relation(kind, order)[0]
     assert not calls
     assert verify_algebraic_relation(kind, 13)[0]
-    assert 0 < len(calls) <= 2 * relation_table(kind)["degree"]
+    b = (relation_table(kind)["degree"] + 1) // 2
+    assert len(calls) == b + 1  # S^2 .. S^b, A_1 and the residual
 
 
-def test_residual_store_recovers_from_an_interrupted_extension(builds, monkeypatch):
+# The dot calls of one step of the grass-forest store (degree 6, b = 3), in order.
+STEP_DOTS = ["S^2", "S^3", "A_1", "residual"]
+
+
+@pytest.mark.parametrize("failing", range(len(STEP_DOTS)), ids=STEP_DOTS)
+def test_residual_store_recovers_from_an_interrupted_extension(failing, builds, monkeypatch):
     kind = GFKind.GRASS_FOREST
     verify_algebraic_relation(kind, 8)
+    series_for(kind, 12)  # so that every dot below is the store's
     real, calls = genfun.dot, []
 
-    def failing(pairs):  # raises between two stored powers of x^9
+    def interrupted(pairs):  # raises at one dot of the step to x^9
         calls.append(1)
-        if len(calls) == 3:
+        if len(calls) == failing + 1:
             raise KeyboardInterrupt
         return real(pairs)
 
-    monkeypatch.setattr(genfun, "dot", failing)
+    monkeypatch.setattr(genfun, "dot", interrupted)
     with pytest.raises(KeyboardInterrupt):
         verify_algebraic_relation(kind, 12)
+    state = genfun._residuals[kind]
+    rows = [*state.powers, state.top]
+    assert len(state.residual) == 9
+    assert [len(row) for row in rows] == [10] * failing + [9] * (len(rows) - failing)
     monkeypatch.setattr(genfun, "dot", real)
     assert verify_algebraic_relation(kind, 12) == _implied_verdict(kind, 12)
-    assert all(len(row) == 13 for row in genfun._residuals[kind].powers)
+    assert all(len(row) == len(state.residual) == 13 for row in rows)
+
+
+# Term products of a fresh store through x^12 when it formed every power
+# S^2 .. S^(d-1) and recomputed [x^k] S^d for each x-shift of the top power.
+POWER_STORE_PRODUCTS = {
+    GFKind.PLABIC_TREE: 1868,
+    GFKind.PLABIC_FOREST: 62099,
+    GFKind.GRASS_TREE: 15224,
+    GFKind.GRASS_FOREST: 198196,
+}
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_residual_store_makes_fewer_term_products(kind, monkeypatch):
+    series = series_for(kind, 12)
+    real, products = genfun.dot, []
+
+    def counted(pairs):  # a square's middle term is one of its pairs
+        pairs = list(pairs)
+        products.append(sum(len(a) * len(b) for a, b in pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(genfun, "dot", counted)
+    genfun._RelationState(kind).extend(series.coefficients())
+    before = POWER_STORE_PRODUCTS[kind]
+    assert sum(products) < before
+    if kind.is_forest:
+        assert 3 * sum(products) <= 2 * before
 
 
 # A perturbation e x^3 changes the residual by e x^3 dP/dS, whose valuation

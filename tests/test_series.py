@@ -14,7 +14,6 @@ from gforest.series import (
     NotInvertible,
     TruncSeries,
     algebraic_root,
-    lagrange_coefficient,
     power_coefficient,
 )
 
@@ -149,6 +148,25 @@ def test_reversion_preconditions():
         S([0]).reversion()
     with pytest.raises(NotInvertible):
         S([0, 2, 1]).reversion()  # 1/2 is not an integer
+
+
+def lagrange_coefficient(c_series: TruncSeries, n: int, k: int) -> BivarPoly:
+    """[x^n] of the k-th power of the compositional inverse of c_series, by
+    Lagrange inversion: the reference the reversion tests compare with.
+
+    Computed as (k/n) [x^(n-k)] (x / c_series)^n by `power_coefficient`,
+    never constructing the inverse itself.  Like `reversion`, needs a zero
+    constant term and 1 or -1 as the x^1 coefficient.
+    """
+    if not (n >= k >= 1):
+        raise ValueError("need n >= k >= 1")
+    if c_series.order < n - k + 1:
+        raise ValueError("series order too small for the requested coefficient")
+    if c_series._c[0]:
+        raise NotInvertible("series with nonzero constant term has no inverse")
+    series._unit(c_series._c[1], NotInvertible, "x^1")
+    base = c_series.shift_down(1).truncate(n - k)
+    return power_coefficient(base, -n, n - k).scale(k).divide_scalar(n)
 
 
 def test_lagrange_examples():
