@@ -21,10 +21,14 @@ expansion, [x^n y^k] = sum_j [X^n z^j] C(n-2j, k-j), maps the result back
 to y.  [X^n] has z-degree at most n/2: it is the gamma vector of [x^n]
 (Athanasiadis, "Gamma-positivity in combinatorics and geometry", Sém.
 Lothar. Combin. 77, 2018), so each series is palindromic in y by
-construction.  The paper's route, a second compositional inversion of
-x / (1 + G_tree), is Speicher's transform in `transforms`, which the tests
-compare with these builds; it takes the root g of g = x (1 + G_tree(g))
-from the same recurrence.  An independent Lagrange-inversion route
+construction.  The expansion uses that: C(n-2j, k-j) = C(n-2j, n-k-j), so
+only the rows k <= n/2 are summed, each as the binomial row
+[C(n-2j, k-j) for j <= k] against the column of [X^n z^j q^r] of each r
+(`ring.expand_gamma`), and [x^n y^(n-k)] is [x^n y^k] mirrored.  The
+paper's route, a second compositional inversion of x / (1 + G_tree), is
+Speicher's transform in `transforms`, which the tests compare with these
+builds; it takes the root g of g = x (1 + G_tree(g)) from the same
+recurrence.  An independent Lagrange-inversion route
 (`forest_gf_via_lagrange`) and the transcribed polynomial relations stored
 in data/ (`verify_algebraic_relation`) check the forest series in y with
 another kernel, and so check the expansion too.
@@ -55,7 +59,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import chain
 
-from .ring import ONE, ZERO, BivarPoly, Q, Y, dot
+from .ring import ONE, ZERO, BivarPoly, Q, Y, dot, expand_gamma
 from .series import TruncSeries, algebraic_root, power_coefficient
 
 DEFAULT_ORDER = 14
@@ -109,22 +113,20 @@ def _parts(kind: GFKind):
 def _expand(series: TruncSeries, s: int) -> TruncSeries:
     """The series in x and y of a series in X = x(1+y) and z = y/(1+y)^2,
     times (1+y)^s: [x^n] is sum_j [X^n z^j] y^j (1+y)^(n+s-2j), so
-    [x^n y^k] = sum_j [X^n z^j] C(n+s-2j, k-j).  A z-degree above (n+s)/2
-    would need a negative power of 1+y, an infinite series in y, and raises
+    [x^n y^k] = sum_j [X^n z^j] C(n+s-2j, k-j).  `ring.expand_gamma` takes
+    each [X^n] in one pass: a row of binomials C(n+s-2j, k-j) per k up to
+    (n+s)/2, applied to the column of z-coefficients of each q-degree, with
+    [x^n y^(n+s-k)] = [x^n y^k] mirrored rather than summed, and the keys
+    stored in ascending order.  A z-degree above (n+s)/2 would need a
+    negative power of 1+y, an infinite series in y, and raises
     `IntegralityViolation`."""
-    powers = [ONE]  # (1+y)^m at [m]
     out = []
     for n, c in enumerate(series.coefficients()):
         if 2 * c.y_degree() > n + s:
             raise IntegralityViolation(
                 f"[X^{n}] has z-degree {c.y_degree()}, above ({n}{s:+})/2"
             )
-        while len(powers) <= n + s:
-            powers.append(powers[-1] * (1 + Y))
-        slices = {}  # j -> the terms of [X^n z^j], at y^j
-        for (j, r), v in c.term_map().items():
-            slices.setdefault(j, {})[j, r] = v
-        out.append(dot((BivarPoly(t), powers[n + s - 2 * j]) for j, t in slices.items()))
+        out.append(expand_gamma(c, n + s))
     return TruncSeries(out, series.order)
 
 
@@ -265,6 +267,8 @@ def coefficient_poly(kind: GFKind, n: int, k: int, order: int | None = None) -> 
 
     The series is built to n; n may not exceed `order` (DEFAULT_ORDER
     when not given)."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     order = DEFAULT_ORDER if order is None else order

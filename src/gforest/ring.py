@@ -18,7 +18,11 @@ The series product, quotient and algebraic root (also the reversion) make
 no coefficient with it: they run on Kronecker-packed ints (`pack`, `unpack`),
 the ring homomorphism P(y, q) -> P(2^(b*stride), 2^b), with slots sized by
 a Cauchy majorant (`slot_width`), so the cross-checks and the series build
-multiply with different kernels.
+multiply with different kernels.  `expand_gamma` maps each coefficient of a
+build from the gamma basis back to y without `dot` either: a row of
+binomials applied to a column of z-coefficients per q-degree, for the lower
+half of the y-degrees only, the upper half mirrored, with the keys stored in
+ascending order (so `y_rows`' sort runs over sorted keys).
 
 `to_text`, `to_latex` and the CLI's table rows (`y_rows`) share one
 formatter, `format_terms`, which reads monomial strings built on first use.
@@ -30,7 +34,10 @@ polynomials and are safe to use concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain
+from math import comb
+from operator import mul
 
 _SHIFT = 20
 _MASK = (1 << _SHIFT) - 1
@@ -397,6 +404,47 @@ def dot(pairs) -> BivarPoly:
                 v = get(k)
                 out[k] = ca * cb if v is None else v + ca * cb
     return BivarPoly._raw({k: c for k, c in out.items() if c})
+
+
+@lru_cache(maxsize=None)
+def _binomial_rows(m: int) -> tuple:
+    """[C(m-2j, k-j) for j <= k] at [k], for k <= m/2."""
+    return tuple(tuple(comb(m - 2 * j, k - j) for j in range(k + 1)) for k in range(m // 2 + 1))
+
+
+def expand_gamma(p: BivarPoly, m: int) -> BivarPoly:
+    """p(z = y/(1+y)^2) (1+y)^m for p in z and q with z-degree at most m/2:
+    sum_j [z^j] p y^j (1+y)^(m-2j), whose y^k coefficient is
+    g_k = sum_j [z^j] p C(m-2j, k-j).
+
+    Each q-degree r takes the column [z^0 q^r] p .. [z^(m//2) q^r] p, and
+    each k <= m/2 the binomial row C(m-2j, k-j) for j <= k; [y^k q^r] is one
+    sum of their products.  C(m-2j, k-j) = C(m-2j, m-k-j), so g_(m-k) = g_k
+    is written without a sum.  The terms are stored in ascending key order,
+    by k and then by r."""
+    h = m // 2
+    columns = {}  # r -> [z^j q^r] p at [j]
+    for k, c in p._t.items():
+        r = k & _MASK
+        column = columns.get(r)
+        if column is None:
+            column = columns[r] = [0] * (h + 1)
+        column[k >> _SHIFT] = c
+    columns = sorted(columns.items())  # (r, column) by ascending r
+    rows = []  # [(r, g_k at q^r), ...] at [k], for k <= m/2
+    for binomials in _binomial_rows(m):
+        row = []
+        for r, column in columns:
+            v = sum(map(mul, column, binomials))
+            if v:
+                row.append((r, v))
+        rows.append(row)
+    out = {}
+    for k, row in enumerate(chain(rows, reversed(rows[: m - h]))):
+        base = k << _SHIFT
+        for r, v in row:
+            out[base | r] = v
+    return BivarPoly._raw(out)
 
 
 def as_poly(value) -> BivarPoly:

@@ -8,6 +8,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gforest import cli, genfun
 from gforest.genfun import (
@@ -27,7 +29,7 @@ from gforest.genfun import (
     verify_algebraic_relation,
 )
 from gforest.oracle import count_by_statistics
-from gforest.ring import ONE, ZERO, BivarPoly, Q, Y
+from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot
 from gforest.series import TruncSeries, algebraic_root
 from gforest.transforms import speicher_transform, tree_transform, vertex_weight_series
 
@@ -184,6 +186,75 @@ def test_expansion_refuses_a_z_degree_above_half_the_order():
     for coeffs, s in (([ONE, ZERO, ZERO, Y * Y], 0), ([ZERO, ZERO, Y], -1), ([ONE], -1)):
         with pytest.raises(IntegralityViolation, match="z-degree"):
             genfun._expand(TruncSeries(coeffs), s)
+
+
+def _expand_by_powers(series, s):
+    """The expansion `_expand` replaced, kept as its reference: (1+y)^(n+s-2j)
+    from a table of powers of 1+y, times the slice of [X^n] at z^j, summed
+    by one `dot` per coefficient."""
+    powers = [ONE]  # (1+y)^m at [m]
+    out = []
+    for n, c in enumerate(series.coefficients()):
+        while len(powers) <= n + s:
+            powers.append(powers[-1] * (1 + Y))
+        slices = {}  # j -> the terms of [X^n z^j], at y^j
+        for (j, r), v in c.term_map().items():
+            slices.setdefault(j, {})[j, r] = v
+        out.append(dot((BivarPoly(t), powers[n + s - 2 * j]) for j, t in slices.items()))
+    return TruncSeries(out, series.order)
+
+
+def _stored_in_ascending_order(p):
+    keys = list(p.term_map())  # (dy, dq) in storage order
+    return keys == sorted(keys)
+
+
+GAMMA_COEFFICIENTS = st.integers(-(2**80), 2**80) | st.sampled_from(
+    [0, 1, -1, 2**70, -(2**70) - 1, 3**50]
+)
+
+
+@st.composite
+def _gamma_series(draw):
+    """(series in X with z in the place of y, s) whose [X^n] has z-degree at
+    most (n+s)/2, with s in {0, -1}."""
+    s = draw(st.sampled_from([0, -1]))
+    order = draw(st.integers(0, 12))
+    coeffs = []
+    for n in range(order + 1):
+        if n + s < 0:
+            coeffs.append(ZERO)
+            continue
+        exponents = st.tuples(st.integers(0, (n + s) // 2), st.integers(0, 6))
+        coeffs.append(BivarPoly(draw(st.dictionaries(exponents, GAMMA_COEFFICIENTS, max_size=8))))
+    return TruncSeries(coeffs, order), s
+
+
+@settings(max_examples=120, deadline=None)
+@given(_gamma_series())
+@example((TruncSeries([ZERO, ONE, 1 + Q, ONE - Y + Y * Q], 3), -1))
+@example((TruncSeries([ONE, ZERO, ZERO, ZERO, Y * Y * 2**71 - Q], 4), 0))
+def test_expansion_matches_the_power_table_reference(case):
+    series, s = case
+    expanded = genfun._expand(series, s)
+    assert expanded == _expand_by_powers(series, s)
+    assert expanded.order == series.order
+    assert all(map(_stored_in_ascending_order, expanded.coefficients()))
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_builds_store_each_coefficient_in_ascending_key_order(kind, monkeypatch):
+    # The expansion writes each coefficient's keys in order, so a table
+    # render's sort runs over sorted keys; it shares no multiplication kernel
+    # with the Lagrange route and the relation check, which multiply by dot.
+    def refused(pairs):
+        raise AssertionError("the expansion called genfun.dot")
+
+    monkeypatch.setattr(genfun, "dot", refused)
+    build = build_tree_gf if kind.is_tree else build_forest_gf
+    for series in (build.__wrapped__(kind, 16), build_C.__wrapped__(kind, 16)):
+        assert series.order == 16
+        assert all(map(_stored_in_ascending_order, series.coefficients()))
 
 
 @pytest.mark.parametrize("kind", [GFKind.PLABIC_TREE, GFKind.PLABIC_FOREST])
@@ -501,6 +572,9 @@ def test_coefficient_poly_examples():
     assert coefficient_poly(GFKind.GRASS_FOREST, 5, 0, 6) == ONE
     with pytest.raises(ValueError):
         coefficient_poly(GFKind.GRASS_FOREST, 9, 2, 8)
+    for n, k in ((0, 0), (-1, 0), (-2, -1)):  # not the series cache's "order must be >= 1"
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            coefficient_poly(GFKind.PLABIC_TREE, n, k)
 
 
 # -- the series cache -------------------------------------------------------------------
