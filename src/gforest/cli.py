@@ -8,7 +8,9 @@ A table checks each x^n coefficient once (`genfun.checked_coefficient`:
 one min and one max over its terms) and takes its rows, each y^k's (dq,
 count) terms in canonical order, from one sorted list of its keys
 (`BivarPoly.y_rows`).  Text and LaTeX write a row by `ring.format_terms`,
-as `BivarPoly` does; CSV and JSON write its terms directly.
+as `BivarPoly` does; CSV (`_csv_rows`) and JSON (`_json_rows`) write its
+terms directly, CSV formatting each row's `n,k,` prefix once for all its
+terms.
 
 `check` decides every verdict by one rule (`_verdict`): a check is a lazy
 stream of comparisons that FAILs at its first mismatch, and consumes no more;
@@ -75,6 +77,17 @@ def _json_rows(rows) -> str:
     return "[\n" + ",\n".join(out) + "\n]"
 
 
+def _csv_rows(rows) -> str:
+    """The (n, k, terms) rows as RFC 4180 CSV under the header n,k,r,count: one
+    line per term (dq, c), each row's `n,k,` prefix formatted once.  Every field
+    is an int or a header name, so none is quoted."""
+    out = ["n,k,r,count\r\n"]
+    for n, k, terms in rows:
+        head = f"{n},{k},"
+        out += [f"{head}{dq},{c}\r\n" for dq, c in terms]
+    return "".join(out)
+
+
 def render_table(n_min: int, n_max: int, kind: GFKind, fmt: str, order: int) -> str:
     """Rows n_min <= n <= n_max of the kind's table; needs 1 <= n_min <= n_max <= `order`."""
     if fmt not in FORMATS:
@@ -82,16 +95,14 @@ def render_table(n_min: int, n_max: int, kind: GFKind, fmt: str, order: int) -> 
     _check_rows(n_min, n_max, order)
     rows = list(_table_rows(n_min, n_max, kind))
     if fmt == "text":
-        return "".join(f"({n},{k}) {format_terms(terms, TEXT)}\n" for n, k, terms in rows)
+        return "".join([f"({n},{k}) {format_terms(terms, TEXT)}\n" for n, k, terms in rows])
     if fmt == "latex-table":
         lines = [r"\begin{tabular}{ll}", r"$(n,k)$ & coefficient \\ \midrule"]
         lines += [f"$({n},{k})$ & ${format_terms(terms, LATEX)}$ \\\\" for n, k, terms in rows]
         lines.append(r"\end{tabular}")
         return "\n".join(lines) + "\n"
-    if fmt == "csv":  # every field is an int or a header name, so none is quoted
-        return "n,k,r,count\r\n" + "".join(
-            f"{n},{k},{dq},{c}\r\n" for n, k, terms in rows for dq, c in terms
-        )
+    if fmt == "csv":
+        return _csv_rows(rows)
     return _json_rows(rows) + "\n"
 
 
@@ -155,9 +166,20 @@ def cmd_perms(args) -> int:
     else:
         # The closure on m letters holds as many permutations as [x^m] of the
         # kind's series at y = q = 1 (equal at every m measured: m <= 10 for
-        # trees, m <= 9 for forests).
-        series = genfun.series_for(GFKind(args.family), args.n)
-        size = sum(c for m in range(1, args.n + 1) for c in series[m].term_map().values())
+        # trees, m <= 9 for forests).  Every size is positive, so the series
+        # is built in doubling orders, none past the first that passes the budget.
+        kind, size, top = GFKind(args.family), 0, 0
+        while top < args.n:
+            series = genfun.series_for(kind, min(2 * top or 1, args.n))
+            for m in range(top + 1, series.order + 1):
+                size += sum(series[m].term_map().values())
+                if size > perms.CLOSURE_BUDGET and m < args.n:
+                    raise perms.BudgetExceeded(
+                        f"the {args.family} family would hold {size} permutations "
+                        f"through n = {m}, over the budget of {perms.CLOSURE_BUDGET}, "
+                        f"so --n {args.n} cannot be built"
+                    )
+            top = series.order
     perms.check_budget(args.family, args.n, size)
     # separable_permutation_sets, grass_tree_permutation_sets, ...
     family = getattr(perms, args.family.replace("-", "_") + "_permutation_sets")

@@ -25,7 +25,9 @@ half of the y-degrees only, the upper half mirrored, with the keys stored in
 ascending order (so `y_rows`' sort runs over sorted keys).
 
 `to_text`, `to_latex` and the CLI's table rows (`y_rows`) share one
-formatter, `format_terms`, which reads monomial strings built on first use.
+formatter, `format_terms`, which reads monomial strings built on first use
+and writes each term as one plain f-string, without a format spec, testing
+the common case of a counting table, a coefficient above 1, first.
 
 Values are immutable after construction; all operations return new
 polynomials and are safe to use concurrently.
@@ -153,12 +155,18 @@ LATEX = _Tables(partial(_monomial, " ", "^{{{}}}"))  # q^{12}+4 q^3+6, y^2 q^{10
 
 
 def format_terms(terms, monomials: _Tables) -> str:
-    """The (packed exponent, coefficient) terms as one sum, in the order given,
-    in the format of `monomials` (`TEXT` or `LATEX`); "0" for no terms."""
+    """The (packed exponent, nonzero coefficient) terms as one sum, in the order
+    given, in the format of `monomials` (`TEXT` or `LATEX`); "0" for no terms.
+
+    Each term is one plain f-string, without a format spec.  c > 1, nearly
+    every term of a counting table, is tested first; c = 1 and c = -1 are the
+    monomial's stored strings; any other c writes its own sign."""
     out = []
     for k, c in terms:
         plus, minus, times = monomials[k]
-        out.append(plus if c == 1 else minus if c == -1 else f"{c:+}{times}")
+        out.append(
+            f"+{c}{times}" if c > 1 else plus if c == 1 else minus if c == -1 else f"{c}{times}"
+        )
     return "".join(out).removeprefix("+") or "0"
 
 

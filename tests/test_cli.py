@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -132,6 +134,26 @@ def test_json_writer_on_hand_made_rows():
         assert cli._json_rows(rows[i : i + 1]) == _json_dumps_rows(rows[i : i + 1])
     assert cli._json_rows(rows) == _json_dumps_rows(rows)
     assert cli._json_rows([]) == _json_dumps_rows([]) == "[]"
+
+
+def test_csv_writer_on_hand_made_rows():
+    rows = [
+        (3, 2, []),
+        (4, 2, [(2, -7), (0, 1)]),
+        (5, 1, [(3, -5), (1, 3**50)]),
+    ]
+
+    def csv_writer(rows):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(["n", "k", "r", "count"])
+        writer.writerows((n, k, dq, c) for n, k, terms in rows for dq, c in terms)
+        return out.getvalue()
+
+    for i in range(len(rows)):
+        assert cli._csv_rows(rows[i : i + 1]) == csv_writer(rows[i : i + 1])
+    assert cli._csv_rows(rows) == csv_writer(rows)
+    assert cli._csv_rows([]) == csv_writer([]) == "n,k,r,count\r\n"
 
 
 TABLE_SHA256 = {
@@ -336,6 +358,29 @@ def test_perms_refuses_an_oversized_closure_before_it_starts(
         assert "exceeds working order 14" in err
     else:
         assert f"would hold {size} permutations, over the budget of 1000000" in err
+
+
+def test_perms_refuses_a_far_oversized_closure_from_a_short_series(
+    capsys, monkeypatch, tmp_path
+):
+    orders = []
+    series_for = genfun.series_for
+
+    def recording(kind, order):
+        orders.append(order)
+        return series_for(kind, order)
+
+    monkeypatch.setattr(cli.genfun, "series_for", recording)
+    path = tmp_path / "perms.txt"
+    path.write_bytes(b"kept\n")
+    argv = ["perms", "--family", "grass-forest", "--n", "50", "--out", str(path)]
+    code, out, err = run(capsys, "--order", "64", *argv)
+    assert code == EXIT_CONFIG and out == "" and path.read_bytes() == b"kept\n"
+    assert orders and max(orders) <= 16
+    assert err == (
+        "error: the grass-forest family would hold 7366079 permutations through n = 10, "
+        "over the budget of 1000000, so --n 50 cannot be built\n"
+    )
 
 
 def test_separable_perms_obey_the_order_cap_first(capsys, monkeypatch, tmp_path):

@@ -344,6 +344,30 @@ def test_format_terms_of_rows():
     assert format_terms([(1, -1), (0, 3**50)], LATEX) == f"-q+{3**50}"
 
 
+def _spec_format_terms(terms, monomials):
+    """`format_terms` as written with the format spec {c:+}: the reference."""
+    out = []
+    for k, c in terms:
+        plus, minus, times = monomials[k]
+        out.append(plus if c == 1 else minus if c == -1 else f"{c:+}{times}")
+    return "".join(out).removeprefix("+") or "0"
+
+
+term_coeffs = st.one_of(
+    st.sampled_from([1, -1, 2, -2]),
+    st.integers(min_value=2**70 + 1),
+    st.integers(max_value=-(2**70) - 1),
+)
+packed_exponents = st.builds(lambda dy, dq: dy << 20 | dq, st.integers(0, 12), st.integers(0, 12))
+
+
+@given(st.lists(st.tuples(packed_exponents, term_coeffs), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_format_terms_matches_the_format_spec_writer(terms):
+    assert format_terms(terms, TEXT) == _spec_format_terms(terms, TEXT)
+    assert format_terms(terms, LATEX) == _spec_format_terms(terms, LATEX)
+
+
 def test_json_terms():
     # The table's JSON layout: one {dy, dq, num, den} dict per term, in terms() order.
     p = P({(1, 2): -3, (0, 0): 4})
