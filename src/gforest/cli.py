@@ -3,6 +3,8 @@
 Subcommands: table, coeff, check, euler, relations, perms.  All output is
 UTF-8 and deterministic; CSV is RFC 4180 (CRLF, no field needs quoting).
 Exit status: 0 all good, 1 mathematical mismatch, 2 configuration error.
+The global `--order` is the one working order: no command asks for n above
+it, and `relations` checks through x^order.
 
 A table checks each x^n coefficient once (`genfun.checked_coefficient`:
 one min and one max over its terms) and takes its rows, each y^k's (dq,
@@ -16,7 +18,9 @@ terms.
 stream of comparisons that FAILs at its first mismatch, and consumes no more;
 an IntegralityViolation raised while comparing is such a mismatch, so it is a
 FAIL line, not an `error:`.  Otherwise the check PASSes if anything was
-compared and is SKIPped if nothing was.
+compared and is SKIPped if nothing was.  It builds each Grassmannian series
+once, at the working order, and the Lagrange route reads every n's tree
+power from a prefix of that tree series.
 """
 
 from __future__ import annotations
@@ -145,12 +149,10 @@ def cmd_euler(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    if args.relation_order < 6:
+    if args.order < 6:
         raise ConfigError("--order must be >= 6")
-    if args.relation_order > args.order:
-        raise ConfigError(f"--order {args.relation_order} exceeds working order {args.order}")
     with _output(args.out) as fh:
-        ok, report = genfun.verify_algebraic_relation(GFKind(args.kind), args.relation_order)
+        ok, report = genfun.verify_algebraic_relation(GFKind(args.kind), args.order)
         fh.write(report + "\n")
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -239,6 +241,7 @@ def run_checks(oracle_max_n: int, order: int):
     """All cross-checks; yields each (name, ok, detail) from `_verdict` when decided."""
     grass = GFKind.GRASS_FOREST
     forest = genfun.series_for(grass, order)
+    genfun.series_for(grass.tree_kind, order)  # each n's tree power reads a prefix of it
     top = min(12, order)  # the reference rows, Euler and the relations stop at n = 12
     reference = map(_reference_mismatch, [top] if top >= 4 else [])
     yield _verdict("reference-table", "the reference rows start at n = 4", reference)
@@ -343,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_euler)
 
-    p = sub.add_parser("relations", help="verify the transcribed algebraic relation")
+    p = sub.add_parser("relations", help="verify the transcribed relation through x^order")
     p.add_argument("--kind", default=GFKind.GRASS_FOREST.value, choices=_KINDS)
-    p.add_argument("--order", dest="relation_order", type=int, default=12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_relations)
 

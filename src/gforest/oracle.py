@@ -281,16 +281,11 @@ def vertex_mom_dimension(h: int, deg: int) -> int:
 
 
 def helicity(G) -> int:
-    """Helicity of a decorated forest: sum(h(v) - deg(v)/2) + n/2, summed in
-    one walk over each tree; a one-point block is a vertex of degree 1."""
-    twice = 0
-    for block, dec in G:
-        twice += len(block) + (2 * dec - 1 if len(block) == 1 else 0)
-        stack = [dec] if len(block) > 2 else []
-        while stack:
-            node = stack.pop()
-            twice += 2 * node[0] - len(node)
-            stack += filter(None, node[1:])  # the children that are not leaves
+    """Helicity of a decorated forest: sum(h(v) - deg(v)/2) + n/2 over the
+    internal vertices (`decorated_vertices`); a one-point block is a vertex
+    of degree 1."""
+    twice = sum(len(block) for block, _ in G)
+    twice += sum(2 * h - deg for c in G for h, deg in decorated_vertices(c))
     assert twice % 2 == 0
     return twice // 2
 
@@ -304,17 +299,13 @@ def tree_helicity(component) -> int:
 
 
 def mom_dimension(G) -> int:
-    """Sum over component trees of their dimension statistic, in one walk:
-    a tree of two or more leaves has 1 + sum(vertex_mom_dimension(v) - 1)."""
-    total = 0
-    for block, dec in G:
-        total += len(block) > 1
-        stack = [dec] if len(block) > 2 else []
-        while stack:
-            node = stack.pop()
-            total += vertex_mom_dimension(node[0], len(node)) - 1
-            stack += filter(None, node[1:])
-    return total
+    """Sum over component trees of their dimension statistic: a tree of two
+    or more leaves has 1 + sum(vertex_mom_dimension(v) - 1)."""
+    return sum(
+        1 + sum(vertex_mom_dimension(h, deg) - 1 for h, deg in decorated_vertices(c))
+        for c in G
+        if len(c[0]) > 1
+    )
 
 
 def is_contracted(G) -> bool:

@@ -283,17 +283,18 @@ def test_euler_respects_order_cap(capsys):
 
 
 def test_relations_subcommand(capsys):
-    code, out, _ = run(capsys, "relations", "--kind", "grass-forest", "--order", "8")
-    assert code == EXIT_OK and "residual is 0" in out
-    code, _, err = run(capsys, "relations", "--order", "4")
-    assert code == EXIT_CONFIG
+    code, out, _ = run(capsys, "--order", "8", "relations", "--kind", "grass-forest")
+    assert code == EXIT_OK and out == "grass-forest: residual is 0 through x^8\n"
+    code, out, _ = run(capsys, "relations")  # through the default working order
+    want = f"grass-forest: residual is 0 through x^{genfun.DEFAULT_ORDER}\n"
+    assert (code, out) == (EXIT_OK, want)
 
 
 def test_relations_respects_order_cap(capsys):
-    code, out, err = run(capsys, "--order", "6", "relations", "--order", "12")
-    assert code == EXIT_CONFIG and "order" in err and out == ""
-    code, out, _ = run(capsys, "--order", "6", "relations", "--order", "6")
-    assert code == EXIT_OK and "residual is 0" in out
+    code, out, err = run(capsys, "--order", "5", "relations")
+    assert (code, out, err) == (EXIT_CONFIG, "", "error: --order must be >= 6\n")
+    code, out, _ = run(capsys, "--order", "6", "relations")
+    assert code == EXIT_OK and "residual is 0 through x^6" in out
 
 
 def test_perms_subcommands(capsys):
@@ -401,8 +402,9 @@ def test_separable_perms_obey_the_order_cap_first(capsys, monkeypatch, tmp_path)
     [
         ["check", "--budget", "5"],
         ["perms", "--family", "separable", "--n", "4", "--budget-n", "5"],
+        ["relations", "--order", "12"],
     ],
-    ids=["check --budget", "perms --budget-n"],
+    ids=["check --budget", "perms --budget-n", "relations --order"],
 )
 def test_removed_size_options_are_unknown_arguments(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -730,7 +732,7 @@ def test_euler_exits_1_on_a_mismatch(capsys, monkeypatch):
 def test_relations_exits_1_on_a_mismatch(capsys, monkeypatch, kind):
     module, attribute, fault, detail = CHECK_FAULTS[f"relation-{kind.value}"]
     monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
-    code, out, err = run(capsys, "relations", "--kind", kind.value, "--order", "8")
+    code, out, err = run(capsys, "--order", "8", "relations", "--kind", kind.value)
     assert (code, out, err) == (EXIT_MISMATCH, detail + "\n", "")
 
 
