@@ -30,7 +30,7 @@ import contextlib
 import sys
 from collections import Counter
 from importlib import resources
-from itertools import groupby, product, tee
+from itertools import accumulate, groupby, product, tee
 from operator import itemgetter
 
 from . import genfun, oracle, perms
@@ -162,27 +162,24 @@ def cmd_perms(args) -> int:
         raise ConfigError("need --n >= 1")
     if args.n > args.order:
         raise ConfigError(f"n = {args.n} exceeds working order {args.order}")
-    # The whole family is sized before it is built or --out is opened.
+    # The whole family is sized before it is built or --out is opened, from its
+    # exact count on each m letters, and refused at the first m whose running
+    # total passes the budget.  The closure on m letters holds as many
+    # permutations as there are contracted trees or forests on m points, which
+    # the oracle counts: [x^m] of the kind's series at y = q = 1 (equal at every
+    # m measured: m <= 10 for trees, m <= 9 for forests).  The oracle memoizes
+    # its counts per size, so only the sizes read here are paid for.
     if args.family == "separable":
-        size = sum(perms.separable_counts(args.n).values())
+        counts = perms.separable_counts(args.n).values()
     else:
-        # The closure on m letters holds as many permutations as [x^m] of the
-        # kind's series at y = q = 1 (equal at every m measured: m <= 10 for
-        # trees, m <= 9 for forests).  Every size is positive, so the series
-        # is built in doubling orders, none past the first that passes the budget.
-        kind, size, top = GFKind(args.family), 0, 0
-        while top < args.n:
-            series = genfun.series_for(kind, min(2 * top or 1, args.n))
-            for m in range(top + 1, series.order + 1):
-                size += sum(series[m].term_map().values())
-                if size > perms.CLOSURE_BUDGET and m < args.n:
-                    raise perms.BudgetExceeded(
-                        f"the {args.family} family would hold {size} permutations "
-                        f"through n = {m}, over the budget of {perms.CLOSURE_BUDGET}, "
-                        f"so --n {args.n} cannot be built"
-                    )
-            top = series.order
-    perms.check_budget(args.family, args.n, size)
+        kind = GFKind(args.family)
+        counts = (sum(oracle.count_by_statistics(m, kind).values()) for m in range(1, args.n + 1))
+    for m, size in enumerate(accumulate(counts), 1):
+        if size > perms.CLOSURE_BUDGET:
+            raise perms.BudgetExceeded(
+                f"the {args.family} family would hold {size} permutations through n = {m}, "
+                f"over the budget of {perms.CLOSURE_BUDGET}, so --n {args.n} cannot be built"
+            )
     # separable_permutation_sets, grass_tree_permutation_sets, ...
     family = getattr(perms, args.family.replace("-", "_") + "_permutation_sets")
     with _output(args.out) as fh:

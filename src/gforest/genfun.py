@@ -173,7 +173,9 @@ def build_tree_gf(kind: GFKind, order: int) -> TruncSeries:
     """Tree generating function x(1 + y + yq C^<-1>) to the given order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _expand(_gamma(kind.tree_kind, order), 0)
+    if kind.is_forest:
+        raise ValueError("build_tree_gf builds the tree kinds")
+    return _expand(_gamma(kind, order), 0)
 
 
 @lru_cache(maxsize=2)
@@ -381,7 +383,7 @@ def relation_residual(kind: GFKind, series: TruncSeries) -> TruncSeries:
     return TruncSeries(state.residual, series.order)
 
 
-def verify_algebraic_relation(kind: GFKind, order: int = 12):
+def verify_algebraic_relation(kind: GFKind, order: int):
     """Check the computed series against its transcribed algebraic relation.
 
     Each kind keeps the residual of its longest check so far, with the

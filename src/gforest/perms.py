@@ -46,15 +46,6 @@ class BudgetExceeded(RuntimeError):
     over all its sizes."""
 
 
-def check_budget(family: str, max_n: int, size: int):
-    """Refuse a family whose sizes 1..max_n hold size > CLOSURE_BUDGET."""
-    if size > CLOSURE_BUDGET:
-        raise BudgetExceeded(
-            f"the {family} family through n = {max_n} would hold {size} "
-            f"permutations, over the budget of {CLOSURE_BUDGET}"
-        )
-
-
 class SizeTooSmall(ValueError):
     """Amalgamation needs both operands on at least two letters."""
 
@@ -394,7 +385,12 @@ def separable_permutation_sets(max_n: int) -> dict:
     no direct sum, or a skew sum whose first block is no skew sum, with t
     separable, so each is built once.  Refuses, before building anything,
     when separable_counts adds up to more than CLOSURE_BUDGET."""
-    check_budget("separable", max_n, sum(separable_counts(max_n).values()))
+    size = sum(separable_counts(max_n).values())
+    if size > CLOSURE_BUDGET:
+        raise BudgetExceeded(
+            f"the separable family through n = {max_n} would hold {size} "
+            f"permutations, over the budget of {CLOSURE_BUDGET}"
+        )
     # sums[a] and skews[a] hold the direct and the skew sums on a letters;
     # on one letter both hold the one-letter code, which may head either.
     one = (pi_perm(0, 1),)

@@ -320,7 +320,7 @@ def test_perms_rejects_nonpositive_n(capsys, family, n):
 def test_perms_budget_is_config_error(capsys):
     code, _, err = run(capsys, "perms", "--family", "separable", "--n", "11")
     assert code == EXIT_CONFIG
-    assert "would hold 1296281 permutations, over the budget of 1000000" in err
+    assert "would hold 1296281 permutations through n = 11, over the budget of 1000000" in err
 
 
 def test_perms_over_budget_n_leaves_the_out_file_alone(capsys, tmp_path):
@@ -328,7 +328,7 @@ def test_perms_over_budget_n_leaves_the_out_file_alone(capsys, tmp_path):
     path.write_bytes(b"kept\n")
     code, out, err = run(capsys, "perms", "--family", "separable", "--n", "11", "--out", str(path))
     assert code == EXIT_CONFIG and out == ""
-    assert "would hold 1296281 permutations, over the budget of 1000000" in err
+    assert "would hold 1296281 permutations through n = 11, over the budget of 1000000" in err
     assert path.read_bytes() == b"kept\n"
 
 
@@ -358,29 +358,47 @@ def test_perms_refuses_an_oversized_closure_before_it_starts(
     if size is None:
         assert "exceeds working order 14" in err
     else:
-        assert f"would hold {size} permutations, over the budget of 1000000" in err
+        assert f"would hold {size} permutations through n = {n}, over the budget of 1000000" in err
 
 
 def test_perms_refuses_a_far_oversized_closure_from_a_short_series(
     capsys, monkeypatch, tmp_path
 ):
-    orders = []
-    series_for = genfun.series_for
+    def never(*args, **kwargs):
+        raise AssertionError("a series was built")
 
-    def recording(kind, order):
-        orders.append(order)
-        return series_for(kind, order)
-
-    monkeypatch.setattr(cli.genfun, "series_for", recording)
+    monkeypatch.setattr(cli.genfun, "series_for", never)
     path = tmp_path / "perms.txt"
     path.write_bytes(b"kept\n")
     argv = ["perms", "--family", "grass-forest", "--n", "50", "--out", str(path)]
     code, out, err = run(capsys, "--order", "64", *argv)
     assert code == EXIT_CONFIG and out == "" and path.read_bytes() == b"kept\n"
-    assert orders and max(orders) <= 16
     assert err == (
         "error: the grass-forest family would hold 7366079 permutations through n = 10, "
         "over the budget of 1000000, so --n 50 cannot be built\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, m, size",
+    [("grass-tree", 6, 238), ("grass-forest", 5, 414), ("separable", 5, 121)],
+)
+def test_perms_refuses_at_the_first_size_over_the_budget(
+    capsys, monkeypatch, tmp_path, family, m, size
+):
+    def never(*args, **kwargs):
+        raise AssertionError("a closure was started")
+
+    monkeypatch.setattr(cli.perms, "CLOSURE_BUDGET", 100)
+    monkeypatch.setattr(cli.perms, family.replace("-", "_") + "_permutation_sets", never)
+    path = tmp_path / "perms.txt"
+    path.write_bytes(b"kept\n")
+    argv = ["perms", "--family", family, "--n", "9", "--out", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG and out == "" and path.read_bytes() == b"kept\n"
+    assert err == (
+        f"error: the {family} family would hold {size} permutations through n = {m}, "
+        "over the budget of 100, so --n 9 cannot be built\n"
     )
 
 

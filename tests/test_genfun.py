@@ -304,6 +304,12 @@ def test_forest_builder_refuses_tree_kinds():
         build_forest_gf(GFKind.GRASS_TREE, 4)
 
 
+@pytest.mark.parametrize("kind", [GFKind.GRASS_FOREST, GFKind.PLABIC_FOREST])
+def test_tree_builder_refuses_forest_kinds(kind):
+    with pytest.raises(ValueError):
+        build_tree_gf(kind, 4)
+
+
 # -- tree series ---------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from gforest.genfun import GFKind, build_tree_gf, extract_counts, series_for
 from gforest.oracle import (
     contract_move,
     contractible_edges,
+    count_by_statistics,
     decorate_grassmannian,
     enumerate_forests,
     enumerate_trees,
@@ -559,6 +560,7 @@ def test_closure_sizes_are_the_series_coefficients_at_y_q_one(kind, closure, shi
     series = series_for(kind, max_n + shift)
     for n in range(1, max_n + 1):
         assert len(sets[n]) == series[n + shift].eval_q(1).eval_y(1).constant_coefficient(), n
+        assert len(sets[n]) == sum(count_by_statistics(n + shift, kind).values()), n
 
 
 @pytest.mark.parametrize(
