@@ -223,8 +223,8 @@ def forest_gf_via_lagrange(kind: GFKind, n: int, order: int | None = None) -> di
     """[x^n] of the forest series by the binomial-power route.
 
     Uses [x^n] G_forest = (1/(n+1)) [x^n] (1 + G_tree)^(n+1), which needs
-    neither the forest equation nor any inverse.  `order`, if given, is a cap that n must not
-    exceed.  Returns {(k, r): count}.
+    neither the forest equation nor any inverse.  `order`, if given, is a
+    cap that n must not exceed.  Returns {(k, r): count}.
     """
     if kind.is_tree:
         raise ValueError("the binomial-power route gives the forest series")
@@ -285,7 +285,7 @@ def euler_characteristic(kind: GFKind, n: int, k: int):
         raise ValueError("Euler specialisation is defined for the forest series")
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n-2")
-    return series_for(kind, n)[n].eval_q(-1).coefficient(k, 0)
+    return checked_coefficient(series_for(kind, n), n).eval_q(-1).coefficient(k, 0)
 
 
 # -- transcribed algebraic relations ------------------------------------------

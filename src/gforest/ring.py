@@ -2,7 +2,7 @@
 
 y marks helicity and q marks dimension.  Coefficients are Python ints and
 nothing else: every coefficient of the generating functions is a count,
-and the series layer inverts only 1 and -1.  The constructor, `constant`,
+and the series layer divides only by 1.  The constructor, `constant`,
 the arithmetic and the substitutions refuse any other number with
 `TypeError` before storing anything, and `divide_scalar` divides exactly
 or raises `ArithmeticError`, so no operation can make a non-integer.

@@ -12,15 +12,16 @@ Lagrange route, gives [x^m] f^e by Miller's recurrence without building any
 power of f, on another kernel.
 
 Coefficients are `BivarPoly`s over the integers, and each operation
-inverts one coefficient, which must be 1 or -1, its own inverse: the x^0
-coefficient of a divisor or of the base of a power (else
-`NonUnitConstantTerm`), the x^1 coefficient of a series inverted
-compositionally or the linear coefficient of an algebraic equation (else
-`NotInvertible`).  The check comes before any coefficient is computed, so
-whether an operation succeeds never depends on the values of the other
-coefficients, and every result has integer coefficients.  The reciprocals
-the generating functions need, of D' and of 1 - X - Xzq w in
-`genfun`'s gamma basis, have x^0 coefficient 1.
+divides by one coefficient, which must be 1: the x^0 coefficient of a
+divisor or of the base of a power (else `NonUnitConstantTerm`), the x^1
+coefficient of a series inverted compositionally or the linear coefficient
+of an algebraic equation (else `NotInvertible`).  The check comes before
+any coefficient is computed, so whether an operation succeeds never depends
+on the values of the other coefficients, and every result has integer
+coefficients.  Every equation the generating functions are solved from has
+linear coefficient 1, and every reciprocal they take, of D' and of
+1 - X - Xzq w in `genfun`'s gamma basis, has x^0 coefficient 1; a unit
+linear term is what makes the power-series root unique.
 
 `algebraic_root` gives the root v = O(x) of a polynomial equation
 sum_j (c0[j] + x c1[j]) v^j = 0 order by order: each new coefficient is a
@@ -31,9 +32,10 @@ Speicher's transform (`transforms.speicher_transform`) the case c0 = [0, 1].
 The product, the quotient and the algebraic root each run their whole
 recurrence on Kronecker-packed ints: each input coefficient is packed once
 (`ring.pack`), and each output coefficient unpacked once (`ring.unpack`),
-as balanced base-2^b digits.  The slot width b comes from the same
-recurrence run on the inputs' l1 norms with every sign positive, a Cauchy
-majorant of each output coefficient, and the q-stride from the same
+as balanced base-2^b digits.  The divisor or the equation is negated
+where it enters, so each recurrence is a plain sum of products.  The slot
+width b comes from the same recurrence run on the inputs' l1 norms, a
+Cauchy majorant of each output coefficient, and the q-stride from the same
 recurrence run in (max, +) on q-degrees.  `power_coefficient` stays on
 `ring.dot`, one call per coefficient, so that the Lagrange route checks the
 packed builds with another kernel.
@@ -42,15 +44,14 @@ packed builds with another kernel.
 from __future__ import annotations
 
 from itertools import chain
-from operator import add, mul, neg, pos
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from .ring import ONE, ZERO, BivarPoly, as_poly, dot, pack, slot_width, unpack
 
 
 class NonUnitConstantTerm(ArithmeticError):
-    """A divisor, or the base of a power, has an x^0 coefficient that is not
-    1 or -1."""
+    """A divisor, or the base of a power, has an x^0 coefficient that is not 1."""
 
 
 class NonzeroConstantTerm(ArithmeticError):
@@ -61,29 +62,24 @@ class NotInvertible(ArithmeticError):
     """Series does not satisfy the preconditions for compositional inversion."""
 
 
-def _unit(c: BivarPoly, error, where: str) -> int:
-    """The value of c, a coefficient the caller inverts; `error` unless it is
-    1 or -1, so that its inverse is itself."""
-    u = c.constant_coefficient()
-    if not (c.is_constant() and u in (1, -1)):
-        raise error(f"{where} coefficient is not 1 or -1")
-    return u
+def _unit(c: BivarPoly, error, where: str) -> None:
+    """Raise `error` unless c, a coefficient the caller divides by, is 1."""
+    if c != 1:
+        raise error(f"{where} coefficient is not 1")
 
 
 # -- recurrences on packed coefficients -----------------------------------------
 #
-# Each recurrence is written once over `_Ops` and run three times: on packed
-# ints (`_INTS`), on l1 norms (`_MAJORANT`, which bounds each output's norm
-# and so each of its coefficients) and on q-degrees (`_DEGREES`).  The unit a
-# recurrence divides by is the coefficient itself, 1 or -1: its norm 1 and
-# its q-degree 0 are the identities of the other two runs.
+# Each recurrence is a sum of products, written once over `_Ops` and run
+# three times: on packed ints and on l1 norms (both `_SUMS`; on norms it
+# bounds each output's norm, and so each of its coefficients) and on
+# q-degrees (`_DEGREES`).  Negating an input changes neither its norm nor its
+# q-degree.
 
 
 class _Ops(NamedTuple):
     dot: Callable  # the sum of x * y over two sequences
-    times: Callable
     plus: Callable
-    minus: Callable  # negation
 
 
 _NO_TERMS = float("-inf")  # the q-degree of 0 in (max, +)
@@ -97,9 +93,8 @@ def _degree_dot(xs, ys):
     return max(map(add, xs, ys), default=_NO_TERMS)
 
 
-_INTS = _Ops(_int_dot, mul, add, neg)
-_MAJORANT = _Ops(_int_dot, mul, add, pos)
-_DEGREES = _Ops(_degree_dot, add, max, pos)
+_SUMS = _Ops(_int_dot, add)
+_DEGREES = _Ops(_degree_dot, max)
 
 
 def _product(ops, a, b):
@@ -107,36 +102,35 @@ def _product(ops, a, b):
     return [ops.dot(a[: m + 1], b[m::-1]) for m in range(len(a))]
 
 
-def _quotient(ops, a, b):
-    """[x^i] a/b for i = 0 .. len(a) - 1, where b_0 = u is 1 or -1:
-    o_i = u (a_i - sum_{k=1..i} b_k o_(i-k))."""
-    u, out = b[0], []
+def _quotient(ops, a, e):
+    """[x^i] a/b for i = 0 .. len(a) - 1, given e = -b, where b_0 = 1:
+    o_i = a_i + sum_{k=1..i} e_k o_(i-k).  e_0 is never read."""
+    out = []
     for i in range(len(a)):
-        out.append(ops.times(u, ops.plus(a[i], ops.minus(ops.dot(b[1 : i + 1], out[::-1])))))
+        out.append(ops.plus(a[i], ops.dot(e[1 : i + 1], out[::-1])))
     return out
 
 
-def _algebraic(ops, c0, c1, n):
-    """v_0 .. v_n of the root v of sum_j (c0[j] + x c1[j]) v^j = 0 with
-    v_0 = c0[0] = 0, where c0[1] = u is 1 or -1.
+def _algebraic(ops, e0, e1, n):
+    """v_0 .. v_n of the root v of v = sum_j (e0[j] + x e1[j]) v^j with
+    v_0 = e0[0] = 0; e0[1] is never read.
 
-    v_1 = -u c1[0] and, for m >= 2,
-        v_m = -u (sum_{j>=2} c0[j] [x^m] v^j + sum_{j>=1} c1[j] [x^(m-1)] v^j),
+    v_1 = e1[0] and, for m >= 2,
+        v_m = sum_{j>=2} e0[j] [x^m] v^j + sum_{j>=1} e1[j] [x^(m-1)] v^j,
     where [x^m] v^j = sum_{i>=1} v_i [x^(m-i)] v^(j-1) needs only
     v_1 .. v_(m-1), and vanishes for j > m."""
-    u, d = c0[1], max(len(c0), len(c1)) - 1
-    v = [c0[0], ops.minus(ops.times(u, c1[0]))][: n + 1]
+    d = max(len(e0), len(e1)) - 1
+    v = [e0[0], e1[0]][: n + 1]
     powers = [None, v]  # powers[j][m] = [x^m] v^j, filled for j <= m <= the last v_m
     for m in range(2, n + 1):
         if m <= d:
             powers.append([None] * (n + 1))
         for j in range(2, len(powers)):
             powers[j][m] = ops.dot(v[1 : m - j + 2], powers[j - 1][m - 1 : j - 2 : -1])
-        s = ops.plus(
-            ops.dot(c0[2:], [row[m] for row in powers[2:]]),
-            ops.dot(c1[1:], [row[m - 1] for row in powers[1:m]]),
-        )
-        v.append(ops.minus(ops.times(u, s)))
+        v.append(ops.plus(
+            ops.dot(e0[2:], [row[m] for row in powers[2:]]),
+            ops.dot(e1[1:], [row[m - 1] for row in powers[1:m]]),
+        ))
     return v
 
 
@@ -155,10 +149,10 @@ def _packed(recurrence, *inputs):
     fit: the intermediate ints are never unpacked."""
     norms = [_norms(cs) for cs in inputs]
     degrees = [[c.q_degree() if c else _NO_TERMS for c in cs] for cs in inputs]
-    width = slot_width(max(chain(recurrence(_MAJORANT, *norms), *norms)))
+    width = slot_width(max(chain(recurrence(_SUMS, *norms), *norms)))
     stride = 1 + max(chain([0], recurrence(_DEGREES, *degrees), *degrees))
     packed = [[pack(c, width, stride) for c in cs] for cs in inputs]
-    return [unpack(v, width, stride) for v in recurrence(_INTS, *packed)]
+    return [unpack(v, width, stride) for v in recurrence(_SUMS, *packed)]
 
 
 class TruncSeries:
@@ -305,7 +299,8 @@ class TruncSeries:
             return NotImplemented
         _unit(other._c[0], NonUnitConstantTerm, "x^0")
         n = min(self.order, other.order)
-        return TruncSeries(_packed(_quotient, self._c[: n + 1], other._c[: n + 1]), n)
+        e = [-c for c in other._c[: n + 1]]
+        return TruncSeries(_packed(_quotient, self._c[: n + 1], e), n)
 
     # -- composition and inversion ------------------------------------------
 
@@ -323,7 +318,7 @@ class TruncSeries:
     def reversion(self) -> "TruncSeries":
         """Compositional inverse g with self(g) = g(self) = x up to the order.
 
-        Requires a zero constant term and 1 or -1 as the x^1 coefficient;
+        Requires a zero constant term and 1 as the x^1 coefficient;
         g is the root of self(v) - x = 0, so `algebraic_root` gives it.
         """
         return algebraic_root(self._c, (-1,), self.order)
@@ -344,33 +339,34 @@ def algebraic_root(c0, c1, order: int) -> TruncSeries:
     """The root v = O(x) of sum_j (c0[j] + x c1[j]) v^j = 0 to the given
     order, for coefficient lists c0 and c1 (polynomials in y and q).
 
-    Needs c0[0] = 0 and 1 or -1 as c0[1], the linear coefficient (else
-    `NotInvertible`); `_algebraic` gives the recurrence, one `dot` per power
-    of v and order."""
+    Needs c0[0] = 0 and 1 as c0[1], the linear coefficient (else
+    `NotInvertible`).  Then v = v - sum_j (c0[j] + x c1[j]) v^j, which
+    `_algebraic` solves with e0 = -c0 and e1 = -c1, one `dot` per power of
+    v and order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     c0, c1 = [as_poly(c) for c in c0], [as_poly(c) for c in c1]
     if len(c0) < 2 or c0[0] or not c1:
         raise NotInvertible("the equation needs c0[0] = 0, a linear term and a c1")
     _unit(c0[1], NotInvertible, "v^1")
-    return TruncSeries(_packed(lambda ops, a, b: _algebraic(ops, a, b, order), c0, c1), order)
+    e0, e1 = [-c for c in c0], [-c for c in c1]
+    return TruncSeries(_packed(lambda ops, a, b: _algebraic(ops, a, b, order), e0, e1), order)
 
 
 def power_coefficient(f: TruncSeries, e: int, m: int) -> BivarPoly:
     """[x^m] f^e for an int e, by J.C.P. Miller's recurrence.
 
-    f's x^0 coefficient a0 must be 1 or -1.  From p_0 = a0^e, each
-    p_j = (1/(j a0)) sum_{k=1..j} ((e+1)k - j) a_k p_(j-k) is one `dot`
-    and an exact division, so no power of f is built (Knuth, TAOCP Vol. 2,
-    4.7)."""
+    f's x^0 coefficient must be 1.  From p_0 = 1, each
+    p_j = (1/j) sum_{k=1..j} ((e+1)k - j) a_k p_(j-k) is one `dot` and an
+    exact division, so no power of f is built (Knuth, TAOCP Vol. 2, 4.7)."""
     if not isinstance(e, int):
         raise TypeError(f"the exponent {e!r} is not an int")
     if not 0 <= m <= f.order:
         raise ValueError(f"x^{m} is beyond the series order {f.order}")
     a = f._c
-    a0 = _unit(a[0], NonUnitConstantTerm, "x^0")
-    p = [as_poly(a0 if e % 2 else 1)]  # a0^e; (-1) ** e is a float for e < 0
+    _unit(a[0], NonUnitConstantTerm, "x^0")
+    p = [ONE]
     for j in range(1, m + 1):
         s = dot((a[k].scale((e + 1) * k - j), p[j - k]) for k in range(1, j + 1))
-        p.append(s.divide_scalar(j * a0))
+        p.append(s.divide_scalar(j))
     return p[m]

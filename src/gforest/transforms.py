@@ -35,6 +35,7 @@ def nc_weight_series(values: Mapping[int, object], order: int) -> TruncSeries:
         coeffs[d] = as_poly(c)
     return TruncSeries.from_dict(coeffs, order)
 
+
 def vertex_weight_series(values: Mapping[int, object], order: int) -> TruncSeries:
     """Vertex-weight series sum_{d>=3} f(d) x^d from a tabulated weight function."""
     coeffs = {}

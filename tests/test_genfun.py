@@ -451,6 +451,24 @@ def test_euler_specialisation_closed_form():
         assert f[n] == BivarPoly({(k, 0): 1 for k in range(n + 1)})
 
 
+def test_euler_characteristic_reads_a_checked_coefficient(monkeypatch):
+    # A negative term elsewhere in [x^6] is no count, so there is no Euler
+    # characteristic to give; `check` reports the error as the verdict's FAIL.
+    _empty_stores(monkeypatch)  # the relation store must not keep the corrupted forest
+    original = genfun.series_for
+    extra = {6: BivarPoly({(3, 20): -5})}
+    message = "[x^6 y^3 q^20] = -5 is negative"
+
+    def corrupted(kind, order):
+        series = original(kind, order)
+        return series + TruncSeries.from_dict(extra, order) if kind.is_forest else series
+
+    monkeypatch.setattr(genfun, "series_for", corrupted)
+    assert _message(lambda: euler_characteristic(GFKind.GRASS_FOREST, 6, 3)) == message
+    verdicts = {name: (ok, detail) for name, ok, detail in cli.run_checks(6, 14)}
+    assert verdicts["euler-characteristic"] == (False, message)
+
+
 def test_euler_rejects_tree_kinds_and_bad_range():
     with pytest.raises(ValueError):
         euler_characteristic(GFKind.GRASS_TREE, 4, 2)

@@ -1,6 +1,6 @@
 import math
 import random
-from operator import add, mul, neg
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -124,8 +124,10 @@ def test_compose_rejects_nonzero_constant():
 def test_reversion_of_x():
     x = TruncSeries.x(6)
     assert x.reversion() == x
-    assert (-x).reversion() == -x
-    assert S([0, -1]).reversion() == S([0, -1])  # order 1
+    with pytest.raises(NotInvertible):
+        (-x).reversion()
+    with pytest.raises(NotInvertible):
+        S([0, -1]).reversion()  # order 1
 
 
 def test_reversion_standard_pair():
@@ -156,7 +158,7 @@ def lagrange_coefficient(c_series: TruncSeries, n: int, k: int) -> BivarPoly:
 
     Computed as (k/n) [x^(n-k)] (x / c_series)^n by `power_coefficient`,
     never constructing the inverse itself.  Like `reversion`, needs a zero
-    constant term and 1 or -1 as the x^1 coefficient.
+    constant term and 1 as the x^1 coefficient.
     """
     if not (n >= k >= 1):
         raise ValueError("need n >= k >= 1")
@@ -196,16 +198,13 @@ small_polys = st.dictionaries(
 
 
 def admissible(order):
-    """Series with [x^0] = 0 and [x^1] = 1 or -1."""
-    return st.tuples(
-        st.sampled_from([1, -1]),
-        st.lists(small_polys, min_size=order - 1, max_size=order - 1),
-    ).map(lambda t: TruncSeries([0, t[0], *t[1]], order))
+    """Series with [x^0] = 0 and [x^1] = 1."""
+    return st.lists(small_polys, min_size=order - 1, max_size=order - 1).map(
+        lambda tail: TruncSeries([0, 1, *tail], order)
+    )
 
 
 @given(admissible(7))
-@example(S([0, -1]))
-@example(S([0, -1, 1 + Q, 0, Y]))
 @settings(max_examples=40, deadline=None)
 def test_reversion_round_trip(f):
     g = f.reversion()
@@ -263,16 +262,13 @@ def _power_by_products(f, e):
 @given(
     st.lists(small_polys, min_size=4, max_size=4),
     st.lists(small_polys, min_size=3, max_size=3),
-    st.sampled_from([1, -1]),
     st.integers(min_value=-4, max_value=5),
 )
-@example([1, Y, 0, Q], [1 + Q, Y, -2], 1, 5)
-@example([1, Y, 0, Q], [1 + Q, Y, -2], -1, -3)
-@example([1, Y, 0, Q], [1 + Q, Y, -2], -1, 0)
+@example([1, Y, 0, Q], [1 + Q, Y, -2], 5)
 @settings(max_examples=40, deadline=None)
-def test_division_inverts_multiplication(a_tail, b_tail, b0, e):
+def test_division_inverts_multiplication(a_tail, b_tail, e):
     a = TruncSeries(a_tail, 3)
-    b = TruncSeries([b0, *b_tail], 3)
+    b = TruncSeries([1, *b_tail], 3)
     assert (a * b) / b == a
     # Miller's recurrence for [x^m] b^e against plain products, for every m.
     expect = _power_by_products(b, e)
@@ -294,10 +290,10 @@ def test_power_coefficient_argument_validation():
         power_coefficient(S([1, 1, 1]), 0.5, 0)
 
 
-NON_UNITS = [ZERO, BivarPoly.constant(2), BivarPoly.constant(-2), Y, 1 + Y]
+NON_UNITS = [ZERO, BivarPoly.constant(2), BivarPoly.constant(-2), Y, 1 + Y, -ONE]
 
 
-@pytest.mark.parametrize("c", NON_UNITS, ids=["0", "2", "-2", "y", "1+y"])
+@pytest.mark.parametrize("c", NON_UNITS, ids=["0", "2", "-2", "y", "1+y", "-1"])
 def test_non_unit_constants_are_refused_before_any_coefficient(monkeypatch, c):
     def never(*args):
         raise AssertionError("a coefficient was computed")
@@ -339,9 +335,6 @@ def wide_series(min_order=0, head=()):
     ).map(lambda tail: TruncSeries([*head, *tail]))
 
 
-UNITS = st.sampled_from([1, -1])
-
-
 @given(wide_series(), wide_series())
 @example(S([0, 0]), S([0, HIGH]))  # all-zero coefficients
 @example(S([1, BIG]), S([1, -BIG]))  # x^1 cancels: the majorant is far above 0
@@ -354,8 +347,7 @@ def test_product_matches_a_dot_convolution(a, b):
     assert list((S(a) * S(b)).coefficients()) == expect
 
 
-@given(wide_series(), UNITS.flatmap(lambda u: wide_series(head=[u])))
-@example(S([1, -1]), S([-1, HIGH]))  # order 1
+@given(wide_series(), wide_series(head=[1]))
 @settings(max_examples=40, deadline=None)
 def test_quotient_times_divisor_is_the_dividend(a, b):
     n = min(a.order, b.order)
@@ -367,8 +359,7 @@ def test_quotient_far_below_its_majorant():
     assert (b * S([1, -1, 0, 0, 0])) / b == S([1, -1, 0, 0, 0])
 
 
-@given(UNITS.flatmap(lambda u: wide_series(min_order=1, head=[0, u])))
-@example(S([0, -1]))  # order 1, u = -1
+@given(wide_series(min_order=1, head=[0, 1]))
 @example(S([0, 1, HIGH, 0, -BIG]))
 @settings(max_examples=30, deadline=None)
 def test_reversion_matches_lagrange_inversion(f):
@@ -397,10 +388,9 @@ def test_shift_down_requires_divisibility():
 
 
 def test_algebraic_root_gives_the_catalan_numbers():
-    # v = x (1 + v)^2, with the linear coefficient 1 or -1
-    for c0, c1 in (([0, 1], [-1, -2, -1]), ([0, -1], [1, 2, 1])):
-        v = algebraic_root(c0, c1, 12)
-        assert consts(v) == [0] + [math.comb(2 * m, m) // (m + 1) for m in range(1, 13)]
+    # v = x (1 + v)^2
+    v = algebraic_root([0, 1], [-1, -2, -1], 12)
+    assert consts(v) == [0] + [math.comb(2 * m, m) // (m + 1) for m in range(1, 13)]
     assert algebraic_root([0, 1], [-1, -2, -1], 0) == S([0])
 
 
@@ -420,7 +410,7 @@ def test_algebraic_root_preconditions():
 # c0 has the degree of the order, and v = x F(v) of Speicher's transform,
 # whose c1 is long.
 SHAPED_EQUATIONS = {
-    "reversion": ([0, -1, HIGH, BIG * Y, -BIG, Q * Q, ZERO, 3 * HIGH, -Y], [-1], 8),
+    "reversion": ([0, 1, HIGH, BIG * Y, -BIG, Q * Q, ZERO, 3 * HIGH, -Y], [-1], 8),
     "speicher": ([0, 1], [-1, BIG, -HIGH, BIG * Q, ZERO, -BIG * Y, HIGH, 7, -BIG * BIG], 9),
 }
 
@@ -433,10 +423,11 @@ def test_algebraic_recurrence_on_polys_equals_the_packed_run(kind):
     else:
         c0, c1 = genfun._equation(kind)
         n = 16
-    polys = series._Ops(lambda xs, ys: dot(zip(xs, ys)), mul, add, neg)
-    v = series._algebraic(polys, c0, c1, n)  # on the dict kernel
+    polys = series._Ops(lambda xs, ys: dot(zip(xs, ys)), add)
+    e0, e1 = [-c for c in c0], [-c for c in c1]  # negated, as `algebraic_root` does
+    v = series._algebraic(polys, e0, e1, n)  # on the dict kernel
     assert list(algebraic_root(c0, c1, n).coefficients()) == v
-    norms = series._algebraic(series._MAJORANT, series._norms(c0), series._norms(c1), n)
+    norms = series._algebraic(series._SUMS, series._norms(c0), series._norms(c1), n)
     assert all(c.norm() <= bound for c, bound in zip(v, norms))
 
 
@@ -448,7 +439,7 @@ def test_majorant_of_each_gamma_equation_bounds_the_root(kind):
     # Grassmannian kinds.
     c0, c1 = genfun._equation(kind)
     v = algebraic_root(c0, c1, 16).coefficients()
-    bounds = series._algebraic(series._MAJORANT, series._norms(c0), series._norms(c1), 16)
+    bounds = series._algebraic(series._SUMS, series._norms(c0), series._norms(c1), 16)
     assert all(c.norm() <= bound for c, bound in zip(v, bounds))
     slack = max(bounds).bit_length() - max(c.norm() for c in v).bit_length()
     assert slack <= (2 if kind.is_plabic else 13)
