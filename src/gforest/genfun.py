@@ -14,8 +14,15 @@ v N(v) (1 - x(1+y) - xyq v) = x D(v), so the forest needs no tree series.
 y enters N and D only as u(1+y) and u^2 y, so each equation is solved in
 X = x(1+y), z = y/(1+y)^2 and w = (1+y)u (or (1+y)v): w N'(w) = X D'(w)
 with tree series X(1 + zq w), and w N'(w) (1 - X - Xzq w) = X D'(w) with
-forest series 1/(1 - X - Xzq w), where N' and D' (`_parts`) lie in
-Z[z, q][w].  `series.algebraic_root` solves each equation order by order
+forest series 1/(1 - X - Xzq w), where N' and D' lie in Z[z, q][w].
+The tree root's [X^m] w has q-valuation m - 1, so the tree equation is
+solved in W = qw and X' = qX instead, as W N''(W) = X' D''(W), where
+N''(W) = N'(W/q) and D''(W) = D'(W/q) (`_parts`) still lie in Z[z, q][W]:
+a packed coefficient then carries no m - 1 empty q-slots, and
+[X^n] of the tree series is z q^(n-1) [X'^(n-1)] W, one monomial shift.
+The forest roots have q-valuation 0 and are solved in w, with N' and D'
+from the same parts by W -> qw.
+`series.algebraic_root` solves each equation order by order
 (Flajolet and Sedgewick, *Analytic Combinatorics*, VII.6), and one
 expansion, [x^n y^k] = sum_j [X^n z^j] C(n-2j, k-j), maps the result back
 to y.  [X^n] has z-degree at most n/2: it is the gamma vector of [x^n]
@@ -94,20 +101,28 @@ class GFKind(Enum):
 
 
 def _parts(kind: GFKind):
-    """N' and D', as coefficient lists in w with z in the place of y, for
-    C = x N(x) / D(x) in the gamma basis: w N'(w) / D'(w) = (1+y) C(u) for
-    w = (1+y)u, and z = y/(1+y)^2.
+    """N'' and D'', as coefficient lists in W with z in the place of y, for
+    C = x N(x) / D(x) in the gamma basis with W = qw: W N''(W) / D''(W) =
+    q(1+y) C(u) for W = q(1+y)u, and z = y/(1+y)^2.  N'(w) = N''(qw) and
+    D'(w) = D''(qw) (`_lift`) are the parts in w.
 
-    plabic:        N' = 1 - q^2 z w^2,  D' = 1 + q w + q^2 z w^2
-    Grassmannian:  N' = 1 - q^2 w - q^2 (1+q-q^2) z w^2 - q^5 (1+q) z^2 w^4,
-                   D' = (1 + q w + q^2 z w^2)(1 - q^2 w + q^4 z w^2)
+    plabic:        N'' = 1 - z W^2,  D'' = 1 + W + z W^2
+    Grassmannian:  N'' = 1 - q W - (1+q-q^2) z W^2 - q(1+q) z^2 W^4,
+                   D'' = (1 + W + z W^2)(1 - q W + q^2 z W^2)
     """
-    z, q2 = Y, Q * Q
+    z = Y
     if kind.is_plabic:
-        return [ONE, ZERO, -(q2 * z)], [ONE, Q, q2 * z]
-    N = [ONE, -q2, -(z * q2 * (1 + Q - q2)), ZERO, -(z * z * Q**5 * (1 + Q))]
-    D = [ONE, Q - q2, z * (q2 + Q**4) - Q**3, z * (Q**5 - Q**4), z * z * Q**6]
+        return [ONE, ZERO, -z], [ONE, ONE, z]
+    q2 = Q * Q
+    N = [ONE, -Q, -(z * (1 + Q - q2)), ZERO, -(z * z * (Q + q2))]
+    D = [ONE, 1 - Q, z * (1 + q2) - Q, z * (q2 - Q), z * z * q2]
     return N, D
+
+
+def _lift(cs):
+    """The coefficient list of p(qw) for p's coefficient list cs in W:
+    coefficient j times q^j."""
+    return [c.times_monomial(0, j) for j, c in enumerate(cs)]
 
 
 def _expand(series: TruncSeries, s: int) -> TruncSeries:
@@ -136,33 +151,42 @@ def build_C(kind: GFKind, order: int) -> TruncSeries:
     drives the tree series, expanded from X N'(X) / D'(X) (`_parts`)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    N, D = _parts(kind)
+    N, D = map(_lift, _parts(kind))
     return _expand(TruncSeries([ZERO, *N], order) / TruncSeries(D, order), -1)
 
 
 def _equation(kind: GFKind):
     """(c0, c1) of the kind's equation sum_j (c0[j] + X c1[j]) w^j = 0, with
-    z in the place of y.
+    z in the place of y; for a tree, W and X' = qX stand for w and X.
 
     Tree: w = (1+y) C^<-1> solves w N'(w) = X D'(w), and the tree series is
-    X(1 + zq w).  Forest: with H the forest series, w = (1+y) C^<-1>(xH)
-    solves w N'(w) (1 - X - Xzq w) = X D'(w), and H = 1/(1 - X - Xzq w)."""
+    X(1 + zq w).  [X^m] w has q-valuation m - 1, so the tree equation is
+    solved in W = qw and X' = qX, as W N''(W) = X' D''(W): its root's
+    [X'^m] W is q^(1-m) [X^m] w, whose packed form carries no m - 1 empty
+    q-slots.  Forest: with H the forest series, w = (1+y)
+    C^<-1>(xH) solves w N'(w) (1 - X - Xzq w) = X D'(w), and
+    H = 1/(1 - X - Xzq w); its root has q-valuation 0, so it is solved in w."""
     N, D = _parts(kind)
-    c0 = [ZERO, *N]  # w N'(w)
-    c1 = [-d for d in D]
-    if kind.is_forest:
-        c1 += [ZERO] * (len(c0) + 1 - len(D))
-        for j, c in enumerate(c0):
-            c1[j] -= c
-            c1[j + 1] -= Y * Q * c
+    if kind.is_tree:
+        return [ZERO, *N], [-d for d in D]  # W N''(W) - X' D''(W)
+    c0 = [ZERO, *_lift(N)]  # w N'(w)
+    c1 = [-d for d in _lift(D)] + [ZERO] * (len(c0) + 1 - len(D))
+    for j, c in enumerate(c0):
+        c1[j] -= c
+        c1[j + 1] -= c.times_monomial(1, 1)
     return c0, c1
 
 
 def _gamma(kind: GFKind, order: int) -> TruncSeries:
     """The kind's series to the given order in X, with z in the place of y:
     X(1 + zq w) for a tree and 1/(1 - X(1 + zq w)) for a forest, where w is
-    the root of the kind's `_equation`."""
-    t = (Y * Q * algebraic_root(*_equation(kind), order - 1) + 1).shift_up(1)
+    the root of the kind's `_equation`.  Each [X^n] X(1 + zq w) past X^1 is
+    one monomial shift of the root's [X^(n-1)]: z q^(n-1) [X'^(n-1)] W for a
+    tree, whose root is in W = qw and X' = qX, and z q [X^(n-1)] w for a
+    forest."""
+    root = algebraic_root(*_equation(kind), order - 1).coefficients()
+    shifted = (c.times_monomial(1, m if kind.is_tree else 1) for m, c in enumerate(root[1:], 1))
+    t = TruncSeries([ZERO, ONE, *shifted], order)
     return t if kind.is_tree else TruncSeries.one(order) / (1 - t)
 
 

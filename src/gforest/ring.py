@@ -10,7 +10,8 @@ or raises `ArithmeticError`, so no operation can make a non-integer.
 A polynomial is stored as a dict from packed exponents to nonzero
 coefficients.  The packing ``(dy << _SHIFT) | dq`` turns exponent addition
 during multiplication into a single integer add.  Exponents up to
-``2**_SHIFT - 1`` are supported, far beyond anything produced here.
+``2**_SHIFT - 1`` are supported, far beyond anything produced here; the
+constructor, `*` and `times_monomial` refuse a larger one with `ValueError`.
 A sum of products is `dot`: every term product goes into a single dict,
 cleaned once at the end; `*` is `dot` of one pair.  `dot` is the kernel of
 Miller's power recurrence, the Lagrange route and the relation residual.
@@ -296,9 +297,26 @@ class BivarPoly:
             return self.scale(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
+        self._fit(other.y_degree(), other.q_degree())
         return dot(((self, other),))
 
     __rmul__ = __mul__
+
+    def _fit(self, dy: int, dq: int) -> None:
+        """`ValueError` unless this polynomial's degrees plus dy and dq stay
+        within 2^_SHIFT - 1, the constructor's limit: a larger q-degree would
+        carry into y.  The degrees of 0 are -1, so 0 always fits."""
+        ey, eq = self.y_degree(), self.q_degree()
+        if ey + dy > _MASK or eq + dq > _MASK:
+            raise ValueError(f"exponent too large ({ey}, {eq}) + ({dy}, {dq})")
+
+    def times_monomial(self, dy: int, dq: int) -> "BivarPoly":
+        """self * y^dy q^dq, by adding one packed key to each term's key."""
+        if dy < 0 or dq < 0:
+            raise ValueError(f"negative exponent ({dy}, {dq})")
+        self._fit(dy, dq)
+        shift = (dy << _SHIFT) | dq
+        return BivarPoly._raw({k + shift: c for k, c in self._t.items()})
 
     def scale(self, c):
         c = _int(c)
@@ -399,7 +417,13 @@ Q = BivarPoly.monomial(dq=1)
 
 
 def dot(pairs) -> BivarPoly:
-    """The sum of a * b over the (a, b) pairs, accumulated in one dict and cleaned once."""
+    """The sum of a * b over the (a, b) pairs, accumulated in one dict and cleaned once.
+
+    Every term product must keep its y- and q-degrees within 2^_SHIFT - 1,
+    as the constructor requires; a larger q-degree would carry into y.
+    `dot` does not check this, since it would cost work per term in the
+    kernel of the Lagrange route and the relation check; `*` and
+    `times_monomial` check it, by comparing degrees before they multiply."""
     out = {}
     get = out.get
     for a, b in pairs:

@@ -170,10 +170,34 @@ def test_gamma_equation_is_the_y_equation_after_substitution(kind):
     # With z = y/(1+y)^2, w = (1+y)v and X = x(1+y), the term of w^j X^t
     # takes a factor (1+y)^(j+t), and the gamma equation becomes (1+y) times
     # the y equation.  Every z-degree is at most 2, so (1+y)^4 clears z.
+    # A tree equation is solved in W = qw and X' = qX: its term of W^j X'^t
+    # takes q^(j+t) first, and W N''(W) - X' D''(W) becomes
+    # q (w N'(w) - X D'(w)), so q times (1+y) times the y equation.
+    factor = (1 + Y) ** 5 * (Q if kind.is_tree else ONE)
     for t, (gamma, y) in enumerate(zip(genfun._equation(kind), _y_equation(kind))):
         assert len(gamma) == len(y)
         for j, (g, c) in enumerate(zip(gamma, y)):
-            assert _at_z(g, 4 + j + t) == (1 + Y) ** 5 * c, (t, j)
+            if kind.is_tree:
+                g = g.times_monomial(0, j + t)
+            assert _at_z(g, 4 + j + t) == factor * c, (t, j)
+
+
+def test_plabic_tree_equation_has_no_q():
+    # In W = qw and X' = qX the plabic-tree equation is W (1 - zW^2) =
+    # X' (1 + W + zW^2), so its root, and [x^n] of the series apart from the
+    # factor q^(n-1), has no q.
+    c0, c1 = genfun._equation(GFKind.PLABIC_TREE)
+    assert max(c.q_degree() for c in (*c0, *c1)) == 0
+    assert all(c.q_degree() <= 0 for c in algebraic_root(c0, c1, 16).coefficients())
+
+
+def test_grass_tree_root_in_W_has_q_degree_below_its_order():
+    # [X'^m] W = q^(1-m) [X^m] w.  Its q-degree stays at most m - 2 (0 for
+    # m <= 2), which keeps the packed stride of a build to order n, whose
+    # root runs to n - 1, below n: 15 at order 16, where it was 29.
+    root = algebraic_root(*genfun._equation(GFKind.GRASS_TREE), 24).coefficients()
+    for m, c in enumerate(root):
+        assert c.q_degree() <= max(m - 2, 0), m
 
 
 def test_expansion_refuses_a_z_degree_above_half_the_order():
@@ -415,6 +439,7 @@ SERIES_SHA256 = {
     14: "1ee78ca8069d9755289fc7cb9c936bfa96d3d930094892815e148a5318c694ee",
     20: "f05cda776aeab60f8ea3ddf6cc9c0e8f794d2469f188a28776cd3e81b17854a4",
     26: "86aa617e955b7c11385880d584c93e087e44d4398381cfd6e128ce99f8b5025d",
+    32: "2dc8e4ac5622b020761d296e3f93b774ecbfe43d5979e854841c0783cd515948",
 }
 
 
@@ -423,8 +448,9 @@ SERIES_SHA256 = {
     [
         14,
         20,
-        pytest.param(
-            26, marks=pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1")
+        *(
+            pytest.param(order, marks=pytest.mark.skipif(not EXTENDED, reason="set GFOREST_EXTENDED=1"))
+            for order in (26, 32)
         ),
     ],
 )

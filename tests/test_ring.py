@@ -82,6 +82,42 @@ def test_negative_exponents_rejected():
         P({(-1, 0): 1})
 
 
+TOP = 2**20 - 1  # the largest exponent the packed keys hold
+
+
+def test_products_refuse_an_exponent_the_constructor_refuses():
+    # A q-degree past TOP would carry into y: Q ** 2**20 would equal Y.
+    with pytest.raises(ValueError, match="too large"):
+        P({(0, TOP + 1): 1})
+    with pytest.raises(ValueError, match="too large"):
+        Q ** 2**20
+    with pytest.raises(ValueError, match="too large"):
+        BivarPoly.monomial(dq=2**19) * BivarPoly.monomial(dq=2**19)
+    with pytest.raises(ValueError, match="too large"):
+        Y ** 2**20
+    with pytest.raises(ValueError, match="too large"):
+        Q.times_monomial(0, TOP)
+    with pytest.raises(ValueError, match="too large"):
+        (Y + Q).times_monomial(TOP, 0)
+    with pytest.raises(ValueError, match="negative"):
+        Q.times_monomial(0, -1)
+
+
+def test_products_reach_the_largest_exponent():
+    top = P({(TOP, TOP): 1})
+    assert Q**TOP == P({(0, TOP): 1})
+    assert BivarPoly.monomial(dq=2**19) * BivarPoly.monomial(dq=2**19 - 1) == Q**TOP
+    assert (Y ** (TOP - 1) * Q) * (Y * Q ** (TOP - 1)) == top
+    assert ONE.times_monomial(TOP, TOP) == top
+    assert ZERO * top == ZERO == top * ZERO and ZERO.times_monomial(TOP, TOP) == ZERO
+
+
+@given(polys, st.integers(0, 6), st.integers(0, 6))
+@settings(max_examples=40)
+def test_times_monomial_is_the_product(a, dy, dq):
+    assert a.times_monomial(dy, dq) == a * BivarPoly.monomial(dy=dy, dq=dq)
+
+
 @given(polys, polys, polys)
 @settings(max_examples=60)
 def test_ring_axioms(a, b, c):
