@@ -55,6 +55,13 @@ serious", JFP 1999).  A relation of degree d in S is evaluated with baby
 steps S^2 .. S^b, b = ceil(d/2), and one giant step by S^b (Paterson and
 Stockmeyer, SIAM J. Comput. 2, 1973), so each coefficient of a check
 costs b + 1 `dot`s: three rows and the residual for grass-forest.
+Each transcribed coefficient of x^dx is palindromic in y of degree dx, so
+while the substituted series' [x^k] is palindromic of degree k, [x^m] of
+every row and of the residual is palindromic of degree m, and each `dot`
+multiplies only the lower half of the y-degrees (`ring.dot` with a degree).
+The store verifies both, the table once at load and each [x^m] of the series
+as it arrives, and multiplies in full from the first coefficient that breaks
+the symmetry, so a perturbed series gets its exact residual.
 """
 
 from __future__ import annotations
@@ -339,7 +346,10 @@ class _RelationState:
     [x^m] of each is one `dot`: an even power squares a stored row, an odd
     one is S times the power below it, and [x^m] of the residual runs over
     the terms of A_0 and the pairs ([x^k] S^b, [x^(m-k)] A_1).  [x^m] of
-    every row needs only the series' coefficients up to m.
+    every row needs only the series' coefficients up to m.  `half` stays
+    true while every C_(j,dx) is palindromic of y-degree dx and every [x^k]
+    S so far of degree k: then [x^m] of every row is palindromic of degree
+    m, and each `dot` of the step is given that degree.
     """
 
     def __init__(self, kind: GFKind):
@@ -352,8 +362,10 @@ class _RelationState:
             terms = grouped.setdefault((j, dx), {})
             terms[dy, dq] = terms.get((dy, dq), 0) + num
         b = self.split = (table["degree"] + 1) // 2
-        self.low = [(j, dx, BivarPoly(t)) for (j, dx), t in grouped.items() if j < b]
-        self.high = [(j - b, dx, BivarPoly(t)) for (j, dx), t in grouped.items() if j >= b]
+        coeffs = {key: BivarPoly(t) for key, t in grouped.items()}
+        self.low = [(j, dx, c) for (j, dx), c in coeffs.items() if j < b]
+        self.high = [(j - b, dx, c) for (j, dx), c in coeffs.items() if j >= b]
+        self.half = all(c.is_palindromic(dx) for (_, dx), c in coeffs.items())
         self.powers = [[] for _ in range(b - 1)]  # [x^m] S^j at [j - 2][m]
         self.top = []  # [x^m] A_1
         self.residual = []
@@ -373,15 +385,17 @@ class _RelationState:
             )
 
         for m in range(len(self.residual), len(s)):
+            self.half = self.half and s[m].is_palindromic(m)
+            degree = m if self.half else None
             for j in range(2, b + 1):
                 if j % 2:
-                    rows[j].append(dot(zip(s[: m + 1], rows[j - 1][m::-1])))
+                    rows[j].append(dot(zip(s[: m + 1], rows[j - 1][m::-1]), degree))
                 else:
-                    rows[j].append(dot(_square_pairs(rows[j // 2], m)))
-            self.top.append(dot(terms(self.high, m)))
-            self.residual.append(
-                dot(chain(terms(self.low, m), zip(rows[b][: m + 1], self.top[::-1])))
-            )
+                    rows[j].append(dot(_square_pairs(rows[j // 2], m), degree))
+            self.top.append(dot(terms(self.high, m), degree))
+            self.residual.append(dot(
+                chain(terms(self.low, m), zip(rows[b][: m + 1], self.top[::-1])), degree
+            ))
 
 
 def _square_pairs(row, m):

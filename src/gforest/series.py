@@ -38,7 +38,9 @@ width b comes from the same recurrence run on the inputs' l1 norms, a
 Cauchy majorant of each output coefficient, and the q-stride from the same
 recurrence run in (max, +) on q-degrees.  `power_coefficient` stays on
 `ring.dot`, one call per coefficient, so that the Lagrange route checks the
-packed builds with another kernel.
+packed builds with another kernel; when each input coefficient x^k is
+palindromic in y of degree k, as every counting series here is, each of
+those calls multiplies only the lower half of the y-degrees.
 """
 
 from __future__ import annotations
@@ -358,15 +360,20 @@ def power_coefficient(f: TruncSeries, e: int, m: int) -> BivarPoly:
 
     f's x^0 coefficient must be 1.  From p_0 = 1, each
     p_j = (1/j) sum_{k=1..j} ((e+1)k - j) a_k p_(j-k) is one `dot` and an
-    exact division, so no power of f is built (Knuth, TAOCP Vol. 2, 4.7)."""
+    exact division, so no power of f is built (Knuth, TAOCP Vol. 2, 4.7).
+    If every a_k (k <= m) is palindromic in y of degree k, as the
+    coefficients of every series counted here are, then so is every p_j, and
+    each `dot` multiplies only the lower half of the y-degrees (its `degree`
+    j); otherwise it multiplies them all."""
     if not isinstance(e, int):
         raise TypeError(f"the exponent {e!r} is not an int")
     if not 0 <= m <= f.order:
         raise ValueError(f"x^{m} is beyond the series order {f.order}")
     a = f._c
     _unit(a[0], NonUnitConstantTerm, "x^0")
+    half = all(a[k].is_palindromic(k) for k in range(1, m + 1))
     p = [ONE]
     for j in range(1, m + 1):
-        s = dot((a[k].scale((e + 1) * k - j), p[j - k]) for k in range(1, j + 1))
-        p.append(s.divide_scalar(j))
+        pairs = ((a[k].scale((e + 1) * k - j), p[j - k]) for k in range(1, j + 1))
+        p.append(dot(pairs, j if half else None).divide_scalar(j))
     return p[m]

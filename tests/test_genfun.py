@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gforest import cli, genfun
+from gforest import series as series_module
 from gforest.genfun import (
     GFKind,
     IntegralityViolation,
@@ -30,7 +31,7 @@ from gforest.genfun import (
 )
 from gforest.oracle import count_by_statistics
 from gforest.ring import ONE, ZERO, BivarPoly, Q, Y, dot
-from gforest.series import TruncSeries, algebraic_root
+from gforest.series import TruncSeries, algebraic_root, power_coefficient
 from gforest.transforms import speicher_transform, tree_transform, vertex_weight_series
 
 EXTENDED = os.environ.get("GFOREST_EXTENDED") == "1"
@@ -737,9 +738,9 @@ def _count_dots(monkeypatch):
     calls = []
     real = genfun.dot
 
-    def counted(pairs):
+    def counted(pairs, degree=None):
         calls.append(1)
-        return real(pairs)
+        return real(pairs, degree)
 
     monkeypatch.setattr(genfun, "dot", counted)
     return calls
@@ -769,11 +770,11 @@ def test_residual_store_recovers_from_an_interrupted_extension(failing, builds, 
     series_for(kind, 12)  # so that every dot below is the store's
     real, calls = genfun.dot, []
 
-    def interrupted(pairs):  # raises at one dot of the step to x^9
+    def interrupted(pairs, degree=None):  # raises at one dot of the step to x^9
         calls.append(1)
         if len(calls) == failing + 1:
             raise KeyboardInterrupt
-        return real(pairs)
+        return real(pairs, degree)
 
     monkeypatch.setattr(genfun, "dot", interrupted)
     with pytest.raises(KeyboardInterrupt):
@@ -802,10 +803,10 @@ def test_residual_store_makes_fewer_term_products(kind, monkeypatch):
     series = series_for(kind, 12)
     real, products = genfun.dot, []
 
-    def counted(pairs):  # a square's middle term is one of its pairs
+    def counted(pairs, degree=None):  # a square's middle term is one of its pairs
         pairs = list(pairs)
         products.append(sum(len(a) * len(b) for a, b in pairs))
-        return real(pairs)
+        return real(pairs, degree)
 
     monkeypatch.setattr(genfun, "dot", counted)
     genfun._RelationState(kind).extend(series.coefficients())
@@ -813,6 +814,85 @@ def test_residual_store_makes_fewer_term_products(kind, monkeypatch):
     assert sum(products) < before
     if kind.is_forest:
         assert 3 * sum(products) <= 2 * before
+
+
+def _term_products(pairs, degree):
+    """The term products `dot` makes of the pairs: every one, or with a
+    degree d, those whose y-degrees sum to at most d // 2."""
+    if degree is None:
+        return sum(len(a) * len(b) for a, b in pairs)
+    return sum(
+        ya + yb <= degree // 2 for a, b in pairs for ya, _ in a.term_map() for yb, _ in b.term_map()
+    )
+
+
+def _count_term_products(monkeypatch, module):
+    """[made, all] term products of the `dot` calls of the module, and the
+    degree of each call."""
+    real, products, degrees = module.dot, [0, 0], []
+
+    def counted(pairs, degree=None):
+        pairs = list(pairs)
+        products[0] += _term_products(pairs, degree)
+        products[1] += _term_products(pairs, None)
+        degrees.append(degree)
+        return real(pairs, degree)
+
+    monkeypatch.setattr(module, "dot", counted)
+    return products, degrees
+
+
+# Term products of a fresh store through x^12: the lower half of the
+# y-degrees that it makes, and every one.
+HALF_STORE_PRODUCTS = {
+    GFKind.PLABIC_TREE: [766, 1381],
+    GFKind.PLABIC_FOREST: [16328, 29766],
+    GFKind.GRASS_TREE: [7070, 12585],
+    GFKind.GRASS_FOREST: [71557, 129621],
+}
+
+
+@pytest.mark.parametrize("kind", list(GFKind))
+def test_residual_store_multiplies_the_lower_half(kind, monkeypatch):
+    series = series_for(kind, 12)
+    products, degrees = _count_term_products(monkeypatch, genfun)
+    state = genfun._RelationState(kind)
+    assert state.half  # every transcribed C_(j,dx) is palindromic of y-degree dx
+    state.extend(series.coefficients())
+    assert products == HALF_STORE_PRODUCTS[kind]
+    assert None not in degrees
+
+
+def test_lagrange_route_multiplies_the_lower_half(monkeypatch):
+    products, degrees = _count_term_products(monkeypatch, series_module)
+    for kind in (GFKind.PLABIC_TREE, GFKind.GRASS_TREE):
+        for n in range(4, 15):
+            power_coefficient(1 + series_for(kind, n), n + 1, n)
+    assert products == [48617, 88847]
+    assert None not in degrees
+
+
+def test_relation_with_a_term_that_is_not_palindromic_multiplies_in_full(monkeypatch):
+    data = {kind: dict(table) for kind, table in genfun._relations().items()}
+    table = data[GFKind.GRASS_TREE.value]
+    table["terms"] = [*table["terms"], [1, 2, 0, 1, 3, 1]]  # 3q x^2 S: no mirror y^2 q
+    monkeypatch.setattr(genfun, "_relations", lambda: data)
+    series = series_for(GFKind.GRASS_TREE, 10)
+    expect = _residual_term_by_term(GFKind.GRASS_TREE, series)
+    assert expect[3] == 3 * Q * (1 + Y)  # 3q x^2 times S's x(1+y): not palindromic of degree 3
+    _, degrees = _count_term_products(monkeypatch, genfun)
+    assert not genfun._RelationState(GFKind.GRASS_TREE).half
+    assert relation_residual(GFKind.GRASS_TREE, series) == expect
+    assert degrees and set(degrees) == {None}
+
+
+def test_relation_of_a_series_that_is_not_palindromic_multiplies_in_full_from_there(monkeypatch):
+    kind = GFKind.GRASS_FOREST
+    series = series_for(kind, 10) + TruncSeries.from_dict({4: Y}, 10)  # y at x^4
+    _, degrees = _count_term_products(monkeypatch, genfun)
+    assert relation_residual(kind, series) == _residual_term_by_term(kind, series)
+    b = (relation_table(kind)["degree"] + 1) // 2
+    assert degrees == [m for m in range(4) for _ in range(b + 1)] + [None] * (7 * (b + 1))
 
 
 # A perturbation e x^3 changes the residual by e x^3 dP/dS, whose valuation

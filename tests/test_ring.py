@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -159,10 +160,15 @@ def typed(p):
 @given(st.lists(st.tuples(polys, polys), max_size=6))
 @settings(max_examples=60)
 def test_dot_is_the_sum_of_products(pairs):
-    expect = ZERO
+    """Checked against a term-by-term sum that shares no code with `dot`,
+    since `*` is `dot` of one pair."""
+    expect = {}
     for a, b in pairs:
-        expect = expect + a * b
-    assert typed(dot(iter(pairs))) == typed(expect)
+        for (ya, qa), ca in a.terms():
+            for (yb, qb), cb in b.terms():
+                m = (ya + yb, qa + qb)
+                expect[m] = expect.get(m, 0) + ca * cb
+    assert typed(dot(iter(pairs))) == {m: (c, int) for m, c in expect.items() if c}
 
 
 def test_dot_of_nothing_is_zero():
@@ -174,6 +180,78 @@ def test_dot_stores_no_cancelled_term():
     total = dot([(p, ONE), (-p, ONE), (Y, Q), (ONE, P({(0, 0): 2}))])
     assert total.term_map() == {(1, 1): 1, (0, 0): 2}
     assert dot([(1 + Y, 1 - Y), (Y, Y)]).term_map() == {(0, 0): 1}
+
+
+@st.composite
+def palindromes(draw, d):
+    """A polynomial palindromic of y-degree d: terms drawn for the rows
+    y^0 .. y^(d//2) and mirrored."""
+    low = draw(st.dictionaries(st.tuples(st.integers(0, d // 2), st.integers(0, 3)), coeffs, max_size=4))
+    return BivarPoly({**low, **{(d - dy, dq): c for (dy, dq), c in low.items()}})
+
+
+@st.composite
+def palindromic_pairs(draw):
+    """(d, pairs): each a * b of the pairs is palindromic of y-degree d."""
+    d = draw(st.integers(0, 9))
+    splits = draw(st.lists(st.integers(0, d), max_size=5))
+    return d, [(draw(palindromes(i)), draw(palindromes(d - i))) for i in splits]
+
+
+@given(palindromic_pairs())
+@settings(max_examples=80)
+@example((4, [(1 + Y, 1 + 2 * Y + 2 * Y * Y + Y**3), (Y, Y)]))  # an even degree, with a middle row
+@example((3, [(1 + Y, 1 + Y * Y), (ONE, Y + Y * Y)]))  # an odd one
+def test_dot_of_palindromes_multiplies_half_and_mirrors(case):
+    d, pairs = case
+    half = dot(iter(pairs), d)
+    assert typed(half) == typed(dot(pairs))
+    assert list(half._t) == sorted(half._t)
+    assert half.is_palindromic(d)
+
+
+def test_dot_of_palindromes_with_cancellation_and_no_pairs():
+    p = (1 + Y) * (1 + Q)  # palindromic of y-degree 1
+    assert dot([(p, ONE), (-p, ONE)], 1) == ZERO
+    assert dot([(p, p), (-p, p), (Y, Q)], 2) == Y * Q  # the cancelled rows are not stored
+    assert dot([], 0) == ZERO == dot([], 5)
+
+
+def test_dot_of_palindromes_reads_no_storage_order():
+    a = (1 + Y) ** 3 * (1 + 2 * Q) + (Y + Y * Y) * Q * Q
+    b = (Y + Y * Y) * (1 + Q) + 2 * (1 + Y**3) * Q
+    assert a.is_palindromic(3) and b.is_palindromic(3)
+    expect = dot([(a, b), (b, b)])
+    for seed in range(5):
+        shuffled = []
+        for p in (a, b):
+            keys = list(p._t)
+            random.Random(seed).shuffle(keys)
+            shuffled.append(BivarPoly._raw({k: p._t[k] for k in keys}))
+        ra, rb = shuffled
+        for pairs in ([(ra, rb), (rb, rb)], [(rb, ra), (rb, rb)]):
+            half = dot(pairs, 6)
+            assert half == expect
+            assert list(half._t) == sorted(half._t)
+
+
+def test_palindrome_check():
+    assert ZERO.is_palindromic(0) and ZERO.is_palindromic(7)
+    assert ONE.is_palindromic(0) and not ONE.is_palindromic(1)
+    assert (1 + Y).is_palindromic(1) and not (1 + Y).is_palindromic(2)
+    assert Y.is_palindromic(2) and Q.is_palindromic(0)  # a middle row mirrors onto itself
+    assert not (1 + Y + Y * Q).is_palindromic(1)  # y q has no mirror q
+    assert not (Y + 2 * Y * Y).is_palindromic(3)  # mirrored rows of different values
+    assert (Y**3).is_palindromic(6)
+    assert not (Y**3).is_palindromic(2)  # a y-degree above d
+    assert not (Q + Y**3 * Q).is_palindromic(2)  # above d, with its mirror y^(-1) q absent
+
+
+@given(polys, st.integers(0, 9))
+@settings(max_examples=60)
+def test_palindrome_check_is_the_definition(a, d):
+    expect = all(0 <= dy <= d and a.coefficient(d - dy, dq) == c for (dy, dq), c in a.terms())
+    assert a.is_palindromic(d) == expect
 
 
 def test_divide_scalar():

@@ -275,6 +275,24 @@ def test_division_inverts_multiplication(a_tail, b_tail, e):
     assert [power_coefficient(b, e, m) for m in range(4)] == list(expect.coefficients())
 
 
+@pytest.mark.parametrize("kind", [genfun.GFKind.PLABIC_TREE, genfun.GFKind.GRASS_TREE])
+def test_power_coefficient_multiplies_half_only_of_a_palindromic_base(kind, monkeypatch):
+    palindromic = 1 + genfun.series_for(kind, 8)  # [x^k] is palindromic of y-degree k
+    broken = palindromic + TruncSeries.from_dict({5: Y}, 8)  # y is not, at x^5
+    real, degrees = series.dot, []
+
+    def recorded(pairs, degree=None):
+        degrees.append(degree)
+        return real(pairs, degree)
+
+    monkeypatch.setattr(series, "dot", recorded)
+    for base, m, halves in ((palindromic, 8, True), (broken, 8, False), (broken, 4, True)):
+        degrees.clear()
+        for e in (m + 1, -3):
+            assert power_coefficient(base, e, m) == _power_by_products(base, e)[m]
+        assert degrees == 2 * (list(range(1, m + 1)) if halves else [None] * m)
+
+
 def test_power_coefficient_argument_validation():
     with pytest.raises(NonUnitConstantTerm):
         power_coefficient(S([0, 1, 1]), 2, 1)
